@@ -89,16 +89,18 @@ class ParamPrior:
         return b, eps, sigma, 1.0 / omega_inv
 
     def log_density(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        b = theta[: self.dimension]
-        out = -0.5 * float(b @ b) - 0.5 * self.dimension * _LOG_2PI
+        return float(self.log_densities(np.asarray(theta, dtype=float)[None])[0])
+
+    def log_densities(self, thetas: np.ndarray) -> np.ndarray:
+        """``log_density`` of each row of an (m, n_params) stack."""
+        thetas = np.asarray(thetas, dtype=float)
+        b = thetas[:, : self.dimension]
+        out = -0.5 * np.sum(b * b, axis=1) - 0.5 * self.dimension * _LOG_2PI
         if self.fixed_covariance is None:
-            eps, sigma, omega_inv = theta[self.dimension:]
-            if eps <= 0.0 or sigma <= 0.0 or omega_inv <= 0.0:
-                return -math.inf
-            out += math.log(self.rate_eps) - self.rate_eps * eps
-            out += math.log(self.rate_sigma) - self.rate_sigma * sigma
-            out += math.log(self.rate_omega_inv) - self.rate_omega_inv * omega_inv
+            tail = thetas[:, self.dimension:]
+            rates = np.array([self.rate_eps, self.rate_sigma, self.rate_omega_inv])
+            out += np.sum(np.log(rates) - rates * tail, axis=1)
+            out[np.any(tail <= 0.0, axis=1)] = -math.inf
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -210,16 +212,26 @@ class PosteriorChain:
 # ---------------------------------------------------------------------------
 
 
-def _ls_loglik_terms(cov: np.ndarray, b: np.ndarray, data: Dataset, gen: Generator) -> float:
-    """Whitened log-likelihood through one eigendecomposition of cov."""
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= 0.0:
-        return -math.inf
-    root = np.sqrt(vals)
-    # z = A^{-1}(x - b) with A = V diag(root) V^T
-    z = ((data.observations - b) @ vecs / root) @ vecs.T
-    val = float(np.sum(gen.log_density(z))) - data.n * float(np.sum(np.log(root)))
-    return val if np.isfinite(val) else -math.inf
+# Whitened data blocks hold at most about this many doubles (512 KB), so
+# a batch stays in cache and peak memory does not grow with n or the
+# ensemble size.
+_BLOCK_DOUBLES = 1 << 16
+
+
+def _whitening(covs: np.ndarray):
+    """``(pd, whiten, log_det_a)`` for an (m, q, q) stack of covariances.
+
+    ``whiten = V diag(1/sqrt(lam)) V^T`` is A^{-1} for A the principal
+    root. Rows that are not finite or not positive definite get
+    ``pd = False`` and an identity stand-in, so one bad row neither makes
+    the stacked ``eigh`` raise nor touches the others.
+    """
+    pd = np.all(np.isfinite(covs), axis=(1, 2))
+    vals, vecs = np.linalg.eigh(np.where(pd[:, None, None], covs, np.eye(covs.shape[-1])))
+    pd &= vals[:, 0] > 0.0
+    root = np.sqrt(np.where(pd[:, None], vals, 1.0))
+    whiten = (vecs / root[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return pd, whiten, np.sum(np.log(root), axis=1)
 
 
 def log_likelihood(theta: np.ndarray, data: Dataset, gen: Generator,
@@ -232,16 +244,8 @@ def log_likelihood(theta: np.ndarray, data: Dataset, gen: Generator,
     """
     if prior is None:
         prior = ParamPrior(gen.dimension)
-    if data.n == 0:
-        return 0.0
-    b, eps, sigma, _ = prior.split(theta)
-    if prior.fixed_covariance is None and (eps <= 0.0 or sigma <= 0.0):
-        return -math.inf
-    try:
-        cov = prior.covariance_of(theta)
-    except (MatrixNotPDError, ValueError):
-        return -math.inf
-    return _ls_loglik_terms(cov, b, data, gen)
+    theta = np.asarray(theta, dtype=float)
+    return float(_TransformedTarget(prior, data, gen).log_likelihoods(theta[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,9 @@ class McmcConfig:
     ``algorithm='ensemble'`` (default) runs affine-invariant stretch
     moves over a walker ensemble, which traverses the soft scale ridges
     of the cosine-kernel posterior without tuning; ``burn_sweeps`` and
-    ``thin_sweeps`` count whole-ensemble updates.
+    ``thin_sweeps`` count whole-ensemble updates. Each half-sweep's
+    proposals are scored as one batch, whose whitened-data workspace is
+    bounded (about 2^16 doubles) whatever n and the walker count.
 
     ``algorithm='rwm'`` is a single-chain random walk whose global factor
     chases ``target_accept`` during ``burn_in`` steps while the proposal
@@ -296,7 +302,12 @@ def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
 
 class _TransformedTarget:
     """Log posterior in chain coordinates phi = (b, log eps, log sigma,
-    log omega_inv); the exp-Jacobian keeps the pullback exact."""
+    log omega_inv); the exp-Jacobian keeps the pullback exact.
+
+    ``log_densities`` scores an (m, dim) stack of states in one pass. A
+    row is -inf exactly where its state is out of domain, has a non-PD
+    covariance or a non-finite total, whatever the other rows hold.
+    """
 
     def __init__(self, prior: ParamPrior, data: Dataset, gen: Generator):
         self.prior = prior
@@ -304,47 +315,61 @@ class _TransformedTarget:
         self.gen = gen
         self.q = prior.dimension
         self.has_cov_params = prior.fixed_covariance is None
-        if prior.fixed_covariance is not None and data.n > 0:
-            vals, vecs = np.linalg.eigh(prior.fixed_covariance)
-            self._whiten = vecs / np.sqrt(vals) @ vecs.T
-            self._logdet_a = 0.5 * float(np.sum(np.log(vals)))
-        else:
-            self._whiten = None
-            self._logdet_a = 0.0
+        if not self.has_cov_params:
+            self._fixed = _whitening(prior.fixed_covariance[None])
 
     def to_theta(self, phi: np.ndarray) -> np.ndarray:
         if not self.has_cov_params:
             return phi.copy()
-        return np.concatenate([phi[: self.q], np.exp(phi[self.q:])])
+        return np.concatenate([phi[..., : self.q], np.exp(phi[..., self.q:])], axis=-1)
 
     def from_theta(self, theta: np.ndarray) -> np.ndarray:
-        if not self.has_cov_params:
-            return np.asarray(theta, dtype=float).copy()
         theta = np.asarray(theta, dtype=float)
-        return np.concatenate([theta[: self.q], np.log(theta[self.q:])])
+        if not self.has_cov_params:
+            return theta.copy()
+        return np.concatenate([theta[..., : self.q], np.log(theta[..., self.q:])], axis=-1)
 
-    def _loglik(self, theta: np.ndarray) -> float:
-        if self.data.n == 0:
-            return 0.0
-        if self._whiten is not None:
-            z = (self.data.observations - theta[: self.q]) @ self._whiten
-            val = float(np.sum(self.gen.log_density(z))) - self.data.n * self._logdet_a
-            return val if np.isfinite(val) else -math.inf
-        b, eps, sigma, omega = self.prior.split(theta)
-        if eps <= 0.0 or sigma <= 0.0 or omega <= 0.0:
-            return -math.inf
-        cov = experiment_covariance(self.q, eps, sigma, omega)
-        return _ls_loglik_terms(cov, b, self.data, self.gen)
+    def log_likelihoods(self, thetas: np.ndarray) -> np.ndarray:
+        """Log-likelihood of each row of an (m, n_params) stack."""
+        q, obs = self.q, self.data.observations
+        n = obs.shape[0]
+        out = np.full(thetas.shape[0], -math.inf)
+        if n == 0:
+            return np.zeros_like(out)
+        if self.has_cov_params:
+            eps, sigma, omega_inv = thetas[:, q:].T
+            live = np.flatnonzero((eps > 0.0) & (sigma > 0.0))
+            covs = experiment_covariance(q, eps[live], sigma[live], 1.0 / omega_inv[live])
+            pd, whiten, log_det_a = _whitening(covs)
+            live, whiten, log_det_a = live[pd], whiten[pd], log_det_a[pd]
+        else:
+            pd, whiten, log_det_a = self._fixed
+            live = np.arange(thetas.shape[0] if pd[0] else 0)
+            whiten = np.broadcast_to(whiten, (live.size, q, q))
+            log_det_a = np.broadcast_to(log_det_a, live.shape)
+        step = max(1, _BLOCK_DOUBLES // (n * q))
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            z = (obs - thetas[rows, None, :q]) @ whiten[lo:lo + step]
+            log_f = self.gen.log_density(z.reshape(-1, q)).reshape(rows.size, n)
+            out[rows] = np.sum(log_f, axis=1) - n * log_det_a[lo:lo + step]
+        out[~np.isfinite(out)] = -math.inf
+        return out
+
+    def log_densities(self, phis: np.ndarray) -> np.ndarray:
+        """Log posterior of each row of an (m, dim) stack of states."""
+        phis = np.asarray(phis, dtype=float)
+        thetas = self.to_theta(phis)
+        lp = self.prior.log_densities(thetas)
+        if self.has_cov_params:
+            lp += np.sum(phis[:, self.q:], axis=1)  # d theta / d phi = exp(phi)
+        live = np.isfinite(lp)
+        lp[live] += self.log_likelihoods(thetas[live])
+        lp[~np.isfinite(lp)] = -math.inf
+        return lp
 
     def log_density(self, phi: np.ndarray) -> float:
-        theta = self.to_theta(phi)
-        lp = self.prior.log_density(theta)
-        if not math.isfinite(lp):
-            return -math.inf
-        if self.has_cov_params:
-            lp += float(np.sum(phi[self.q:]))  # d theta / d phi = exp(phi)
-        total = lp + self._loglik(theta)
-        return total if math.isfinite(total) else -math.inf
+        return float(self.log_densities(np.asarray(phi, dtype=float)[None])[0])
 
 
 def _profile_candidates(prior: ParamPrior, data: Dataset, gen: Generator) -> list:
@@ -390,8 +415,8 @@ def _basin_candidates(target: _TransformedTarget, rng: np.random.Generator) -> l
         theta[: prior.dimension] = data.observations.mean(axis=0)
         candidates.append(theta)
     candidates.extend(_profile_candidates(prior, data, target.gen))
-    phis = [target.from_theta(th) for th in candidates]
-    scores = np.array([target.log_density(phi) for phi in phis])
+    phis = target.from_theta(np.asarray(candidates))
+    scores = target.log_densities(phis)
     order = np.argsort(-scores)
     return [phis[int(i)] for i in order if scores[i] >= scores[order[0]] - 20.0]
 
@@ -431,12 +456,12 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
     n_walk += n_walk % 2
     a = mcmc.stretch_a
     walkers = _walker_seeds(target, rng, mcmc, n_walk)
-    lps = np.array([target.log_density(w) for w in walkers])
+    lps = target.log_densities(walkers)
     bad = ~np.isfinite(lps)
     if np.any(bad):
         best = int(np.argmax(lps))
         walkers[bad] = walkers[best] + 1e-3 * rng.normal(size=(int(bad.sum()), dim))
-        lps[bad] = np.array([target.log_density(w) for w in walkers[bad]])
+        lps[bad] = target.log_densities(walkers[bad])
 
     halves = (np.arange(n_walk) < n_walk // 2, np.arange(n_walk) >= n_walk // 2)
     keep_every = max(mcmc.thin_sweeps, 1)
@@ -460,7 +485,7 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
 
     def _log_q(fit, x):
         z = (x - fit[0]) @ fit[2].T
-        return -0.5 * float(z @ z) - fit[3]
+        return -0.5 * np.sum(z * z, axis=1) - fit[3]
 
     for sweep in range(1, total_sweeps + 1):
         # periodic independence moves against a Gaussian fitted to the
@@ -473,21 +498,21 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
             picks = partners[rng.integers(partners.size, size=idx.size)]
             z = (1.0 + (a - 1.0) * rng.uniform(size=idx.size)) ** 2 / a
             log_u = np.log(rng.uniform(1e-300, 1.0, size=idx.size))
-            for pos, j, zz, lu in zip(idx, picks, z, log_u):
-                if fit is not None:
-                    proposal = fit[0] + fit[1] @ rng.normal(size=dim)
-                    log_hastings = _log_q(fit, walkers[pos]) - _log_q(fit, proposal)
-                else:
-                    proposal = walkers[j] + zz * (walkers[pos] - walkers[j])
-                    log_hastings = (dim - 1) * math.log(zz)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    lp_new = target.log_density(proposal)
-                if not math.isfinite(lp_new):
-                    lp_new = -math.inf
-                if lu < log_hastings + lp_new - lps[pos]:
-                    walkers[pos] = proposal
-                    lps[pos] = lp_new
-                    accepted += 1
+            current = walkers[idx]
+            if fit is not None:
+                # row i is the i-th walker's draw of the per-walker order
+                proposals = fit[0] + rng.normal(size=(idx.size, dim)) @ fit[1].T
+                log_hastings = _log_q(fit, current) - _log_q(fit, proposals)
+            else:
+                proposals = walkers[picks] + z[:, None] * (current - walkers[picks])
+                log_hastings = (dim - 1) * np.log(z)
+            # every proposal depends only on the other half: one batch
+            with np.errstate(over="ignore", invalid="ignore"):
+                lp_new = target.log_densities(proposals)
+                take = log_u < log_hastings + lp_new - lps[idx]
+            walkers[idx[take]] = proposals[take]
+            lps[idx[take]] = lp_new[take]
+            accepted += int(np.count_nonzero(take))
         if sweep > mcmc.burn_sweeps and (sweep - mcmc.burn_sweeps) % keep_every == 0:
             draws[filled:filled + n_walk] = walkers
             logps[filled:filled + n_walk] = lps
@@ -523,7 +548,7 @@ def metropolis_sample(
 
     if mcmc.algorithm == "ensemble":
         draws_phi, logps, rate = _ensemble_sample(target, k, mcmc, rng)
-        draws = np.array([target.to_theta(phi) for phi in draws_phi])
+        draws = target.to_theta(draws_phi)
         lo, hi = mcmc.warn_accept_range
         if not lo <= rate <= hi:
             warnings.warn(f"ensemble acceptance rate {rate:.3f} outside [{lo}, {hi}]",

@@ -548,10 +548,12 @@ class QuantileMixModel(UnivariateModel):
 def mix_quantiles(coeffs, models: Sequence[UnivariateModel]) -> UnivariateModel:
     """Model whose quantile is ``sum_i coeffs[i] * Q_i``.
 
-    Coefficients must be nonnegative and sum to one. Same-family
-    location-scale components collapse to a parametric member; anything
-    else returns an exact :class:`QuantileMixModel` (nested mixes are
-    flattened so long descent runs do not build towers).
+    Coefficients must be nonnegative and sum to one. Location-scale
+    components of one shape collapse to a single parametric member, which
+    is the result when only one shape is present; anything else returns
+    an exact :class:`QuantileMixModel` over those members and the
+    remaining components (nested mixes are flattened, so long descent
+    runs build neither towers nor ever-longer mixes).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if np.any(coeffs < -1e-15) or abs(coeffs.sum() - 1.0) > 1e-9:
@@ -571,36 +573,37 @@ def mix_quantiles(coeffs, models: Sequence[UnivariateModel]) -> UnivariateModel:
     if not flat_m:
         raise ValueError("empty mix")
 
-    keys = set()
-    for m in flat_m:
-        if isinstance(m, LocationScaleUnivariate):
-            keys.add(m.shape_key())
-        else:
-            keys.add(None)
-    if None not in keys and len(keys) == 1:
-        loc = sum(w * m.loc for w, m in zip(flat_w, flat_m))
-        scale = sum(w * m.scale for w, m in zip(flat_w, flat_m))
-        proto = flat_m[0]
-        if isinstance(proto, Exponential):
-            return Exponential(rate=1.0 / scale)
-        if isinstance(proto, StudentT):
-            return StudentT(proto.df, loc, scale)
-        return type(proto)(loc, scale)
-
-    # consolidate duplicate component objects before falling back to a mix
-    seen: dict[int, int] = {}
+    # one closed-form member per location-scale shape; any other component
+    # merges only with itself, so descent iterates stay one term per shape
+    groups: dict = {}
+    for w, m in zip(flat_w, flat_m):
+        key = m.shape_key() if isinstance(m, LocationScaleUnivariate) else id(m)
+        groups.setdefault(key, []).append((w, m))
+    if len(groups) == 1 and isinstance(flat_m[0], LocationScaleUnivariate):
+        return _ls_member(flat_w, flat_m)
     weights: list[float] = []
     comps: list[UnivariateModel] = []
-    for w, m in zip(flat_w, flat_m):
-        j = seen.get(id(m))
-        if j is None:
-            seen[id(m)] = len(comps)
-            comps.append(m)
-            weights.append(w)
-        else:
-            weights[j] += w
+    for members in groups.values():
+        mass = sum(w for w, _ in members)
+        m = members[0][1]
+        if len(members) > 1 and isinstance(m, LocationScaleUnivariate):
+            m = _ls_member([w / mass for w, _ in members], [c for _, c in members])
+        weights.append(mass)
+        comps.append(m)
     total = sum(weights)
     return QuantileMixModel(np.asarray(weights) / total, comps)
+
+
+def _ls_member(weights, models) -> LocationScaleUnivariate:
+    """Same-shape member whose quantile is ``sum_i weights[i] * Q_i``."""
+    loc = sum(w * m.loc for w, m in zip(weights, models))
+    scale = sum(w * m.scale for w, m in zip(weights, models))
+    proto = models[0]
+    if isinstance(proto, Exponential):
+        return Exponential(rate=1.0 / scale)
+    if isinstance(proto, StudentT):
+        return StudentT(proto.df, loc, scale)
+    return type(proto)(loc, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -790,18 +793,21 @@ def experiment_covariance(q: int, eps: float, sigma: float, omega: float) -> np.
 
     ``Sigma_ij = eps * delta_ij + sigma * cos(omega * (s_i - s_j))`` with
     ``s_i = ((i-1)/(q-1))^1.1``. Positive definite for eps > 0 because the
-    cosine part is a rank-2 Gram matrix.
+    cosine part is a rank-2 Gram matrix. Scalar parameters give one q x q
+    matrix; equal-length parameter vectors give a stack of them.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if eps <= 0.0 or sigma <= 0.0:
+    eps, sigma, omega = (np.asarray(v, dtype=float) for v in (eps, sigma, omega))
+    if np.any(eps <= 0.0) or np.any(sigma <= 0.0):
         raise ValueError("eps and sigma must be positive")
     if q == 1:
         s = np.zeros(1)
     else:
         s = (np.arange(q) / (q - 1)) ** 1.1
-    mat = sigma * np.cos(omega * (s[:, None] - s[None, :]))
-    mat[np.diag_indices(q)] += eps
+    mat = sigma[..., None, None] * np.cos(omega[..., None, None] * (s[:, None] - s[None, :]))
+    diag = np.arange(q)
+    mat[..., diag, diag] += eps[..., None]
     return mat
 
 

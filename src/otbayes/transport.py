@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.spatial.distance import cdist
 
 from .errors import CompatibilityError, QuadratureError, SizeCapError
 from .linalg import inv_psd, sqrtm_psd
@@ -374,9 +375,13 @@ def _monotone_1d_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
     return plan, math.fsum(terms)
 
 
+def _cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, p: float) -> np.ndarray:
+    """|x_i - y_j|^p without an (n, m, q) difference array."""
+    return cdist(src.points, dst.points) ** p
+
+
 def _assignment_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
-    diff = src.points[:, None, :] - dst.points[None, :, :]
-    cost_mat = np.linalg.norm(diff, axis=2) ** p
+    cost_mat = _cost_matrix(src, dst, p)
     rows, cols = linear_sum_assignment(cost_mat)
     n = src.size
     plan = coo_matrix((np.full(n, 1.0 / n), (rows, cols)), shape=(n, n))
@@ -385,8 +390,7 @@ def _assignment_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
 
 def _lp_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
     n, m = src.size, dst.size
-    diff = src.points[:, None, :] - dst.points[None, :, :]
-    c = (np.linalg.norm(diff, axis=2) ** p).ravel()
+    c = _cost_matrix(src, dst, p).ravel()
     # marginal constraints; the last column constraint is redundant and dropped
     rows = []
     for i in range(n):
@@ -411,8 +415,7 @@ def _lp_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
 def _sinkhorn_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float,
                    reg: float, max_iter: int = 5000, tol: float = 1e-11):
     """Log-domain entropic solver; biased but scales past the exact caps."""
-    diff = src.points[:, None, :] - dst.points[None, :, :]
-    cost = np.linalg.norm(diff, axis=2) ** p
+    cost = _cost_matrix(src, dst, p)
     log_a = np.log(src.weights)
     log_b = np.log(dst.weights)
     kern = -cost / reg

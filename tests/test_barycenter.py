@@ -10,8 +10,10 @@ from otbayes import (
     Generator,
     GridQuantile,
     GridUnivariate,
+    Gumbel,
     IndependenceCopula,
     Laplace,
+    Logistic,
     ModelDistribution,
     Normal,
     RadialProfile,
@@ -240,6 +242,28 @@ class TestPopulationBarycenter:
                                        trace_every=0)
         assert w2(out, Normal(0, 1)) < 0.05
         assert fixed_point_residual(out, dist, n_mc=2000, rng=rng) < 5e-3
+
+    def test_mixed_family_iterate_stays_one_term_per_family(self):
+        # fresh normal, Laplace, logistic and Gumbel draws each step: the
+        # iterate keeps one component per family, and with gamma_t = 1/t
+        # its quantile is the running mean of the batches' mean quantiles
+        families = (Normal, Laplace, Logistic, Gumbel)
+        drawn = []
+
+        def draw(r):
+            m = families[r.integers(len(families))](r.normal(), float(np.exp(0.3 * r.normal())))
+            drawn.append(m)
+            return m
+
+        steps, batch = 40, 5
+        out, _ = population_barycenter(ModelDistribution.from_sampler(draw),
+                                       StepSchedule.harmonic(), steps, batch, Normal(0, 1),
+                                       np.random.default_rng(9), trace_every=0)
+        assert len(drawn) == steps * batch
+        assert len(getattr(out, "components", (out,))) <= len(families)
+        u = np.linspace(0.001, 0.999, 199)
+        batch_means = np.mean([m.quantile(u) for m in drawn], axis=0)
+        assert np.allclose(out.quantile(u), batch_means, rtol=1e-10, atol=1e-10)
 
     def test_invalid_schedule_rejected(self):
         dist = ModelDistribution.point_mass(Normal(0, 1))

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from otbayes import (
@@ -30,7 +32,12 @@ from otbayes import (
     w2,
     w2_ls,
 )
-from otbayes.bayes import metropolis_accept
+from otbayes.bayes import (
+    _TransformedTarget,
+    _ensemble_sample,
+    _walker_seeds,
+    metropolis_accept,
+)
 
 
 def _quiet_chain(*args, **kwargs):
@@ -461,3 +468,182 @@ class TestBwbEstimator:
         inversions = sum(errs[i + 1] > errs[i] for i in range(len(errs) - 1))
         assert inversions <= 1
         assert errs[-1] < errs[0]
+
+
+# Chain-coordinate tails (log eps, log sigma, log omega_inv) that must
+# score -inf: exp underflows to 0, exp overflows to inf, and (q = 3) a
+# covariance that is not numerically PD although its prior is finite.
+_BAD_TAILS = {
+    "underflow": (-800.0, 0.0, -1.0),
+    "overflow": (-3.0, 800.0, -1.0),
+    "not_pd": (-300.0, 300.0, math.log(1.0 / 3.0)),
+}
+
+
+def _reference_log_density(target, phi):
+    """The per-state log posterior as computed before batching."""
+    q, prior, data = target.q, target.prior, target.data
+    theta = phi.copy()
+    if target.has_cov_params:
+        theta[q:] = np.exp(phi[q:])
+    lp = prior.log_density(theta)
+    if not math.isfinite(lp):
+        return -math.inf
+    if target.has_cov_params:
+        lp += float(np.sum(phi[q:]))
+    if data.n == 0:
+        return lp
+    vals, vecs = np.linalg.eigh(prior.covariance_of(theta))
+    if vals[0] <= 0.0:
+        return -math.inf
+    root = np.sqrt(vals)
+    z = ((data.observations - theta[:q]) @ vecs / root) @ vecs.T
+    total = lp + float(np.sum(target.gen.log_density(z))) - data.n * float(np.sum(np.log(root)))
+    return total if math.isfinite(total) else -math.inf
+
+
+class TestBatchedLogPosterior:
+    q = 3
+    gen = Generator([Normal(), Laplace(), Normal()])
+
+    def _target(self, fixed, n, seed):
+        rng = np.random.default_rng(seed)
+        cov = experiment_covariance(self.q, 0.1, 1.0, 2.0)
+        prior = ParamPrior(self.q, fixed_covariance=cov if fixed else None)
+        truth = make_ls_model(self.gen, np.arange(self.q, dtype=float), cov)
+        data = Dataset(truth.sample(n, rng)) if n else Dataset.empty(self.q)
+        return _TransformedTarget(prior, data, self.gen)
+
+    def test_not_pd_row_is_minus_inf_with_a_finite_prior(self):
+        target = self._target(False, 10, 0)
+        phi = np.concatenate([np.zeros(self.q), _BAD_TAILS["not_pd"]])
+        assert math.isfinite(target.prior.log_density(target.to_theta(phi)))
+        assert target.log_density(phi) == -math.inf
+
+    # n = 5000 at q = 3 fills four states per whitened block, so stacks of
+    # 5 to 10 rows end in a partial block
+    @given(
+        fixed=st.booleans(),
+        n=st.sampled_from([0, 10, 5000]),
+        kinds=st.lists(st.sampled_from(["finite"] * 3 + [*_BAD_TAILS]), min_size=1, max_size=10),
+        seed=st.integers(0, 2**16),
+    )
+    @example(fixed=False, n=5000, kinds=["finite"] * 5 + ["not_pd", "underflow", "finite"], seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_one_row_calls(self, fixed, n, kinds, seed):
+        target = self._target(fixed, n, seed)
+        rng = np.random.default_rng(seed + 1)
+        rows = []
+        for kind in kinds:
+            b = np.arange(self.q) + 0.3 * rng.normal(size=self.q)
+            if fixed:
+                # the fixed prior has no exp coordinates: a huge location
+                # gives its non-finite prior instead
+                rows.append(b if kind == "finite" else np.full(self.q, 1e200))
+            elif kind == "finite":
+                tail = np.log([0.1, 1.0, 0.5]) + 0.5 * rng.normal(size=3)
+                rows.append(np.concatenate([b, tail]))
+            else:
+                rows.append(np.concatenate([b, _BAD_TAILS[kind]]))
+        stack = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = target.log_densities(stack)
+            single = np.array([target.log_density(phi) for phi in stack])
+            reference = np.array([_reference_log_density(target, phi) for phi in stack])
+        assert batched.shape == (len(kinds),)
+        finite = np.isfinite(single)
+        assert np.array_equal(np.isfinite(batched), finite)
+        assert np.array_equal(np.isfinite(reference), finite)
+        assert np.all(batched[~finite] == -math.inf)
+        assert np.all(finite[[k == "finite" for k in kinds]])
+        assert np.allclose(batched[finite], single[finite], rtol=1e-10, atol=0.0)
+        assert np.allclose(batched[finite], reference[finite], rtol=1e-10, atol=0.0)
+
+
+def _per_walker_ensemble(target, k, mcmc, rng):
+    """Red-black stretch-move sweep scoring one walker at a time."""
+    dim = target.prior.n_params
+    n_walk = mcmc.n_walkers or max(2 * dim + 2, 16)
+    n_walk += n_walk % 2
+    a = mcmc.stretch_a
+    walkers = _walker_seeds(target, rng, mcmc, n_walk)
+    lps = np.array([target.log_density(w) for w in walkers])
+    bad = ~np.isfinite(lps)
+    if np.any(bad):
+        best = int(np.argmax(lps))
+        walkers[bad] = walkers[best] + 1e-3 * rng.normal(size=(int(bad.sum()), dim))
+        lps[bad] = np.array([target.log_density(w) for w in walkers[bad]])
+
+    halves = (np.arange(n_walk) < n_walk // 2, np.arange(n_walk) >= n_walk // 2)
+    keep_every = max(mcmc.thin_sweeps, 1)
+    n_snapshots = -(-k // n_walk)
+    total_sweeps = mcmc.burn_sweeps + n_snapshots * keep_every
+    draws = np.empty((n_snapshots * n_walk, dim))
+    logps = np.empty(n_snapshots * n_walk)
+    accepted = 0
+    filled = 0
+    independence_moves = 0
+
+    def _fit_gaussian(states):
+        mean = states.mean(axis=0)
+        cov = np.cov(states.T) * 1.5 + 1e-12 * np.eye(dim)
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            return None
+        inv_chol = np.linalg.inv(chol)
+        logdet = float(np.sum(np.log(np.diag(chol))))
+        return mean, chol, inv_chol, logdet
+
+    def _log_q(fit, x):
+        z = (x - fit[0]) @ fit[2].T
+        return -0.5 * float(z @ z) - fit[3]
+
+    for sweep in range(1, total_sweeps + 1):
+        independence = sweep > 2 * mcmc.adapt_window and sweep % 3 == 0
+        for half, other in (halves, halves[::-1]):
+            idx = np.where(half)[0]
+            partners = np.where(other)[0]
+            fit = _fit_gaussian(walkers[partners]) if independence else None
+            picks = partners[rng.integers(partners.size, size=idx.size)]
+            z = (1.0 + (a - 1.0) * rng.uniform(size=idx.size)) ** 2 / a
+            log_u = np.log(rng.uniform(1e-300, 1.0, size=idx.size))
+            for pos, j, zz, lu in zip(idx, picks, z, log_u):
+                if fit is not None:
+                    independence_moves += 1
+                    proposal = fit[0] + fit[1] @ rng.normal(size=dim)
+                    log_hastings = _log_q(fit, walkers[pos]) - _log_q(fit, proposal)
+                else:
+                    proposal = walkers[j] + zz * (walkers[pos] - walkers[j])
+                    log_hastings = (dim - 1) * math.log(zz)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lp_new = target.log_density(proposal)
+                if not math.isfinite(lp_new):
+                    lp_new = -math.inf
+                if lu < log_hastings + lp_new - lps[pos]:
+                    walkers[pos] = proposal
+                    lps[pos] = lp_new
+                    accepted += 1
+        if sweep > mcmc.burn_sweeps and (sweep - mcmc.burn_sweeps) % keep_every == 0:
+            draws[filled:filled + n_walk] = walkers
+            logps[filled:filled + n_walk] = lps
+            filled += n_walk
+
+    rate = accepted / (total_sweeps * n_walk)
+    return draws[:k], logps[:k], rate, independence_moves
+
+
+class TestEnsembleMatchesPerWalkerSweep:
+    def test_draws_and_acceptance_equal(self):
+        gen = Generator([Normal(), Laplace()])
+        truth = make_ls_model(gen, [0.5, -1.0], experiment_covariance(2, 0.1, 1.0, 2.0))
+        data = Dataset(truth.sample(20, np.random.default_rng(7)))
+        target = _TransformedTarget(ParamPrior(2), data, gen)
+        mcmc = McmcConfig(burn_sweeps=30, adapt_window=5)
+        draws, logps, rate = _ensemble_sample(target, 40, mcmc, np.random.default_rng(8))
+        ref_draws, ref_logps, ref_rate, moves = _per_walker_ensemble(
+            target, 40, mcmc, np.random.default_rng(8))
+        assert moves > 0  # the run includes independence moves
+        assert np.allclose(draws, ref_draws, rtol=0.0, atol=1e-12)
+        assert np.allclose(logps, ref_logps, rtol=1e-12, atol=0.0)
+        assert rate == ref_rate
