@@ -6,6 +6,13 @@ model draws in batches with a square-summable step schedule. Both exploit
 the closed parameter-space updates of the supported families: averaged
 quantiles on the line and for shared copulas, averaged radial profiles,
 and the scatter fixed-point recursion for affine families.
+
+For scatter-location models every quantity of an iterate A0 against the
+support reads the cross terms (A0 S_m A0)^{1/2} of all k models, taken
+from one stacked eigendecomposition (:class:`transport.LsCrossTerms`).
+``empirical_barycenter`` evaluates them once per iterate and shares them
+between that iterate's risk and gradient norm and the step to the next
+iterate; ``fixed_point_residual`` reads them for the averaged map.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CompatibilityError, ScheduleError
-from .linalg import inv_psd, sqrtm_psd
+from .linalg import sqrtm_psd
 from .measures import (
     CopulaModel,
     LocationScatterModel,
@@ -221,19 +228,21 @@ def _step_univariate(mu, models, lam, gamma):
     return mix_quantiles(coeffs, [mu, *models])
 
 
-def _step_ls(mu: LocationScatterModel, models, lam, gamma):
-    lam = np.asarray(lam, dtype=float)
-    a0 = mu.scatter
-    a0_sq = mu.scatter_sq
-    a0_inv = inv_psd(a0)
-    acc = np.zeros_like(a0)
-    b = (1.0 - gamma) * mu.location
-    for w, m in zip(lam, models):
-        acc += w * sqrtm_psd(a0 @ m.scatter_sq @ a0, name="inner scatter")
-        b = b + gamma * w * m.location
-    mid = (1.0 - gamma) * a0_sq + gamma * acc
-    new_sq = a0_inv @ mid @ mid @ a0_inv
+def _ls_cross(mu, models, weights, cross):
+    """The iterate's cross terms against ``models``: ``cross`` when given."""
+    if cross is None:
+        return transport.LsCrossTerms(mu, models, weights)
+    if cross.mu is not mu or cross.weights.shape != (len(models),):
+        raise ValueError("cross terms were computed for another iterate or support")
+    return cross
+
+
+def _step_ls(mu: LocationScatterModel, cross: transport.LsCrossTerms, gamma):
+    # A1^2 = A0^{-1} M^2 A0^{-1} with M = (1 - gamma) A0^2 + gamma sum lam C
+    mid = (1.0 - gamma) * mu.scatter_sq + gamma * cross.cross_mean
+    new_sq = cross.scatter_inv @ mid @ mid @ cross.scatter_inv
     new_sq = 0.5 * (new_sq + new_sq.T)
+    b = (1.0 - gamma) * mu.location + gamma * cross.mean_location
     return LocationScatterModel(mu.generator, b, sqrtm_psd(new_sq, name="updated scatter"))
 
 
@@ -258,38 +267,39 @@ def _step_copula(mu: CopulaModel, models, lam, gamma):
 
 _STEPS = {
     "univariate": _step_univariate,
-    "location_scatter": _step_ls,
     "spherical": _step_spherical,
     "copula": _step_copula,
 }
 
 
-def _averaged_map_step(mu, models, lam, gamma):
+def _averaged_map_step(mu, models, lam, gamma, cross=None):
+    """Step from a compatibility-checked ``mu`` and ``models``."""
     kind = _family_kind(mu)
-    _check_pairwise_compatible([mu, *models])
+    if kind == "location_scatter":
+        return _step_ls(mu, _ls_cross(mu, models, lam, cross), gamma)
     return _STEPS[kind](mu, models, lam, gamma)
 
 
-def gk_step(mu, dist: ModelDistribution, gamma: float):
+def gk_step(mu, dist: ModelDistribution, gamma: float, *, cross=None):
     """One deterministic descent step: push mu through the lambda-averaged
     optimal map, damped by gamma. gamma = 1 is the plain fixed-point
-    iteration (and the optimal choice); gamma = 0 is a no-op."""
+    iteration (and the optimal choice); gamma = 0 is a no-op. ``cross``
+    passes on the iterate's :class:`~otbayes.transport.LsCrossTerms`
+    against the support when the caller already holds them."""
     if not dist.is_finite:
         raise ValueError("gk_step requires a finitely supported distribution")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    return _averaged_map_step(mu, dist.support, dist.weights, gamma)
+    # the support was checked pairwise when the distribution was built
+    _check_pairwise_compatible([mu, dist.support[0]])
+    return _averaged_map_step(mu, dist.support, dist.weights, gamma, cross)
 
 
 def sgd_step(mu, model, gamma: float):
     """One stochastic step toward a single sampled model."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if gamma == 0.0:
-        return mu
-    return _averaged_map_step(mu, [model], np.array([1.0]), gamma)
+    return batch_sgd_step(mu, [model], gamma)
 
 
 def batch_sgd_step(mu, batch: Sequence, gamma: float):
@@ -301,6 +311,7 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
     if gamma == 0.0:
         return mu
     lam = np.full(len(batch), 1.0 / len(batch))
+    _check_pairwise_compatible([mu, *batch])
     return _averaged_map_step(mu, list(batch), lam, gamma)
 
 
@@ -309,16 +320,22 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
 # ---------------------------------------------------------------------------
 
 
-def risk(mu, models, weights=None) -> float:
-    """Half the weighted average squared distance from mu to the models."""
+def risk(mu, models, weights=None, *, cross=None) -> float:
+    """Half the weighted average squared distance from mu to the models.
+
+    ``cross``: the scatter-location iterate's cross terms, as for
+    :func:`gk_step`."""
     if weights is None:
         weights = np.full(len(models), 1.0 / len(models))
+    if isinstance(mu, LocationScatterModel):
+        cross = _ls_cross(mu, models, weights, cross)
+        return 0.5 * math.fsum(cross.weights * cross.w2_sq())
     return 0.5 * float(
         math.fsum(w * transport.w2(mu, m) ** 2 for w, m in zip(weights, models))
     )
 
 
-def _grad_norm_sq(mu, models, weights=None) -> float:
+def _grad_norm_sq(mu, models, weights=None, *, cross=None) -> float:
     """Squared norm of the averaged displacement, in the family parameters."""
     if weights is None:
         weights = np.full(len(models), 1.0 / len(models))
@@ -333,13 +350,10 @@ def _grad_norm_sq(mu, models, weights=None) -> float:
         gap = qbar - mu.quantile(u)
         return float(np.mean(gap * gap))
     if kind == "location_scatter":
-        abar = np.zeros_like(mu.scatter)
-        bbar = np.zeros_like(mu.location)
-        for w, m in zip(weights, models):
-            abar += w * transport.ls_map_matrix(mu.scatter_sq, m.scatter_sq)
-            bbar = bbar + w * m.location
-        gap = abar - np.eye(mu.dimension)
-        return float(np.trace(gap @ mu.scatter_sq @ gap.T) + np.sum((bbar - mu.location) ** 2))
+        cross = _ls_cross(mu, models, weights, cross)
+        gap = cross.map_matrix - np.eye(mu.dimension)
+        shift = cross.mean_location - mu.location
+        return float(np.trace(gap @ mu.scatter_sq @ gap.T) + np.sum(shift * shift))
     if kind == "spherical":
         u = np.linspace(1e-4, 1.0 - 1e-4, 1024)
         r = mu.generator.radial_quantile(u)
@@ -373,11 +387,8 @@ def fixed_point_residual(mu_hat, dist: ModelDistribution, n_mc: int = 256,
         models = [dist.draw(rng) for _ in range(n_mc)]
         weights = np.full(n_mc, 1.0 / n_mc)
 
-    kind = _family_kind(mu_hat)
-    if kind == "location_scatter":
-        abar = np.zeros_like(mu_hat.scatter)
-        for w, m in zip(weights, models):
-            abar += w * transport.ls_map_matrix(mu_hat.scatter_sq, m.scatter_sq)
+    if isinstance(mu_hat, LocationScatterModel):
+        abar = transport.LsCrossTerms(mu_hat, models, weights).map_matrix
         return float(np.linalg.norm(abar - np.eye(mu_hat.dimension), ord="fro"))
     return math.sqrt(max(_grad_norm_sq(mu_hat, models, weights), 0.0))
 
@@ -403,17 +414,22 @@ def empirical_barycenter(
         raise ValueError("empirical_barycenter requires finite support")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
+    support, weights = dist.support, dist.weights
+    # one stacked cross-term evaluation per scatter-location iterate
+    ls = isinstance(support[0], LocationScatterModel)
     trace = DescentTrace()
-    mu = dist.support[0]
-    f_prev = risk(mu, dist.support, dist.weights)
     t0 = time.perf_counter()
-    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, dist.support, dist.weights),
+    mu = support[0]
+    cross = transport.LsCrossTerms(mu, support, weights) if ls else None
+    f_prev = risk(mu, support, weights, cross=cross)
+    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, support, weights, cross=cross),
                  1e3 * (time.perf_counter() - t0))
     converged = False
     for it in range(1, stop.max_iter + 1):
-        mu = gk_step(mu, dist, gamma)
-        f_cur = risk(mu, dist.support, dist.weights)
-        trace.record(it, gamma, f_cur, _grad_norm_sq(mu, dist.support, dist.weights),
+        mu = gk_step(mu, dist, gamma, cross=cross)
+        cross = transport.LsCrossTerms(mu, support, weights) if ls else None
+        f_cur = risk(mu, support, weights, cross=cross)
+        trace.record(it, gamma, f_cur, _grad_norm_sq(mu, support, weights, cross=cross),
                      1e3 * (time.perf_counter() - t0))
         if f_prev <= 1e-300:
             converged = True

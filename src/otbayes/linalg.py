@@ -1,4 +1,8 @@
-"""Symmetric PSD matrix helpers used by the scatter-location machinery."""
+"""Symmetric PSD matrix helpers used by the scatter-location machinery.
+
+Every helper takes one (n, n) matrix or a stack of shape (..., n, n) and
+applies its checks to each matrix of the stack.
+"""
 
 from __future__ import annotations
 
@@ -14,17 +18,29 @@ EIG_FLOOR = 1e-12
 SYM_TOL = 1e-10
 
 
+def _stack_note(flags: np.ndarray) -> str:
+    """Which matrices of a stack a check flagged ('' for a single matrix)."""
+    if flags.ndim == 0:
+        return ""
+    return f" (matrix {int(np.argmax(flags.ravel()))} of {flags.size}, {int(flags.sum())} flagged)"
+
+
 def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=tol, rtol=0.0):
+    mat_t = np.swapaxes(mat, -1, -2)
+    # one work array: a stack of k matrices is several MB at k = 500
+    work = np.subtract(mat, mat_t)
+    if not np.all(np.abs(work, out=work) <= tol):
         raise ValueError(f"{name} is not symmetric within {tol:g}")
-    return 0.5 * (mat + mat.T)
+    np.add(mat, mat_t, out=work)
+    work *= 0.5
+    return work
 
 
 def sqrtm_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
-    """Principal square root of a symmetric PSD matrix.
+    """Principal square root of a symmetric PSD matrix, or of each in a stack.
 
     Uses a symmetric eigendecomposition. Eigenvalues in ``[-EIG_FLOOR *
     scale, EIG_FLOOR]`` are clamped to the floor with a warning; anything
@@ -32,17 +48,22 @@ def sqrtm_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """
     mat = check_symmetric(mat, name=name)
     vals, vecs = np.linalg.eigh(mat)
-    scale = max(abs(vals[-1]), 1.0)
-    if vals[0] < -SYM_TOL * scale:
-        raise MatrixNotPDError(f"{name} is not positive semidefinite", smallest_eigenvalue=vals[0])
-    if vals[0] < EIG_FLOOR:
+    low = vals[..., 0]
+    scale = np.maximum(np.abs(vals[..., -1]), 1.0)
+    bad = low < -SYM_TOL * scale
+    if np.any(bad):
+        raise MatrixNotPDError(f"{name}{_stack_note(bad)} is not positive semidefinite",
+                               smallest_eigenvalue=float(np.min(low[bad])))
+    clamped = low < EIG_FLOOR
+    if np.any(clamped):
         warnings.warn(
-            f"{name}: eigenvalues below {EIG_FLOOR:g} clamped (smallest {vals[0]:.3e})",
+            f"{name}{_stack_note(clamped)}: eigenvalues below {EIG_FLOOR:g} clamped "
+            f"(smallest {float(np.min(low)):.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
         vals = np.maximum(vals, EIG_FLOOR)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return np.matmul(vecs * np.sqrt(vals)[..., None, :], np.swapaxes(vecs, -1, -2), out=mat)
 
 
 def check_pd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,15 +42,29 @@ def default_levels(n: int = GRID_SIZE, clip: float = TAIL_CLIP) -> np.ndarray:
 
 
 def _check_prob(u, name: str = "u"):
+    if isinstance(u, float):
+        # scalar quadrature integrands land here once per node and component
+        if u <= 0.0 or u >= 1.0:
+            raise ValueError(f"{name} must lie strictly inside (0, 1)")
+        return u
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return u_arr
 
 
+@lru_cache(maxsize=8)
+def gauss_legendre(order: int) -> tuple:
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], built once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _quantile_moments(quantile_fn, order: int = 512, clip: float = 1e-7):
     """(mean, variance) of a model from its quantile by Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = gauss_legendre(order)
     u = clip + (1.0 - 2.0 * clip) * 0.5 * (nodes + 1.0)
     w = (1.0 - 2.0 * clip) * 0.5 * weights
     q = quantile_fn(u)

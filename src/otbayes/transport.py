@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .measures import (
     RadialProfile,
     SphericalModel,
     UnivariateModel,
+    gauss_legendre,
 )
 
 DEFAULT_ASSIGNMENT_CAP = 512
@@ -192,7 +194,7 @@ def _quantile_gap(m1: UnivariateModel, m2: UnivariateModel, p: float):
 
 
 def _gauss_legendre_segments(f_vec, edges: np.ndarray, order: int = 12) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = gauss_legendre(order)
     a = edges[:-1]
     h = np.diff(edges)
     u = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
@@ -244,20 +246,67 @@ def _check_same_generator(m1, m2):
         raise CompatibilityError("models are built on different generators")
 
 
-def ls_map_matrix(sigma1: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Linear part A1^{-1} (A1 Sigma2 A1)^{1/2} A1^{-1} of the optimal affine map."""
-    a1 = sqrtm_psd(sigma1, name="sigma1")
-    a1_inv = inv_psd(a1)
-    mid = sqrtm_psd(a1 @ sigma2 @ a1, name="inner product matrix")
-    m = a1_inv @ mid @ a1_inv
+class LsCrossTerms:
+    """Cross terms of one scatter-location model against k others.
+
+    For ``mu = L(A0 x + b0)`` and models ``L(A_m x + b_m)`` with
+    ``S_m = A_m^2``, the cross terms ``C_m = (A0 S_m A0)^{1/2}`` come from
+    one stacked :func:`sqrtm_psd` over the (k, q, q) array of
+    ``A0 S_m A0``, checked matrix by matrix. Distances, the averaged map
+    and the descent step all read that one result: ``cross_traces`` holds
+    ``tr C_m`` and ``cross_mean`` holds ``sum_m w_m C_m``.
+    """
+
+    def __init__(self, mu: LocationScatterModel, models: Sequence, weights):
+        for m in models:
+            if not isinstance(m, LocationScatterModel):
+                raise CompatibilityError(f"{type(m).__name__} is not a scatter-location model")
+            _check_same_generator(mu, m)
+        a0 = mu.scatter
+        sq = np.stack([m.scatter_sq for m in models])
+        self.sq_traces = np.trace(sq, axis1=1, axis2=2)
+        roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
+        self.mu = mu
+        self.weights = np.asarray(weights, dtype=float)
+        self.locations = np.stack([m.location for m in models])
+        self.cross_traces = np.trace(roots, axis1=1, axis2=2)
+        # summed model by model, in support order
+        roots *= self.weights[:, None, None]
+        self.cross_mean = np.sum(roots, axis=0)
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model ``|b0 - b_m|^2 + tr(S0 + S_m - 2 C_m)``, floored at 0."""
+        gap = self.locations - self.mu.location
+        d2 = np.sum(gap * gap, axis=1)
+        d2 += np.trace(self.mu.scatter_sq) + self.sq_traces - 2.0 * self.cross_traces
+        return np.maximum(d2, 0.0)
+
+    @cached_property
+    def scatter_inv(self) -> np.ndarray:
+        return inv_psd(self.mu.scatter)
+
+    @cached_property
+    def map_matrix(self) -> np.ndarray:
+        """Linear part ``A0^{-1} (sum_m w_m C_m) A0^{-1}`` of the averaged map."""
+        return ls_map_matrix(self.scatter_inv, self.cross_mean)
+
+    @cached_property
+    def mean_location(self) -> np.ndarray:
+        return self.weights @ self.locations
+
+
+def ls_map_matrix(a1_inv: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Linear part ``A1^{-1} C A1^{-1}`` of the optimal affine map out of
+    ``L(A1 x + b1)``, from ``A1^{-1}`` and the cross term
+    ``C = (A1 S2 A1)^{1/2}``; a weighted sum of cross terms gives the
+    weighted average of the maps."""
+    m = a1_inv @ cross @ a1_inv
     return 0.5 * (m + m.T)
 
 
 def ot_map_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> AffinePSDMap:
     """Optimal affine map between scatter-location models with one generator."""
-    _check_same_generator(m1, m2)
-    a = ls_map_matrix(m1.scatter_sq, m2.scatter_sq)
-    return AffinePSDMap(a, m1.location, m2.location)
+    return AffinePSDMap(LsCrossTerms(m1, [m2], [1.0]).map_matrix, m1.location, m2.location)
 
 
 def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
@@ -267,13 +316,7 @@ def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
     in the scatter parameters; exact when the shared generator is
     standardized, a documented parameter-space approximation otherwise.
     """
-    _check_same_generator(m1, m2)
-    s1, s2 = m1.scatter_sq, m2.scatter_sq
-    a1 = m1.scatter
-    cross = sqrtm_psd(a1 @ s2 @ a1, name="cross term")
-    gap2 = float(np.sum((m1.location - m2.location) ** 2))
-    gap2 += float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return math.sqrt(max(gap2, 0.0))
+    return math.sqrt(LsCrossTerms(m1, [m2], [1.0]).w2_sq()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +369,9 @@ def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
 def w2_spherical(m1: SphericalModel, m2: SphericalModel) -> float:
     """L2 gap between profiles under the generator's radial law."""
     _check_same_generator(m1, m2)
-    u = np.polynomial.legendre.leggauss(512)
-    nodes = 0.5 * (u[0] + 1.0)
-    weights = 0.5 * u[1]
+    nodes, weights = gauss_legendre(512)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
     lo, hi = 1e-6, 1.0 - 1e-6
     nodes = lo + (hi - lo) * nodes
     weights = (hi - lo) * weights

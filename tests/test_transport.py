@@ -123,6 +123,13 @@ class TestUnivariateDistance:
         t_var = 3.0
         assert val == pytest.approx(math.sqrt(1.0 + 1.0 * t_var), rel=1e-6)
 
+    def test_t3_against_normal_reference(self):
+        from otbayes import StudentT
+
+        # 1.2441770994341826: mpmath at 60 digits and a z-space quad agree
+        val = wp_univariate(StudentT(3.0, 0.1, 1.2), Normal(0.0, 1.0))
+        assert val == pytest.approx(1.2441770994341826, rel=1e-7)
+
     def test_monotone_map_cost_equals_distance(self):
         # transporting src by the monotone map realizes the distance
         src, dst = Normal(0, 1), Laplace(2, 1)
