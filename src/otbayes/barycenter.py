@@ -503,17 +503,14 @@ def variance_of_gradient_estimator(
     if reps < 200:
         warnings.warn("fewer than 200 reps gives an unstable variance estimate",
                       RuntimeWarning, stacklevel=2)
-    univariate = _family_kind(mu) == "univariate"
     x = np.asarray(mu.sample(n_points, rng), dtype=float)
-    x2d = x[:, None] if univariate else np.atleast_2d(x)
+    x2d = x.reshape(x.shape[0], -1)
+    weights = np.full(batch_size, 1.0 / batch_size)
     disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
     for r in range(reps):
         batch = [dist.draw(rng) for _ in range(batch_size)]
-        tx = np.zeros_like(x2d)
-        for m in batch:
-            out = np.asarray(transport.ot_map(mu, m)(x), dtype=float)
-            tx += out.reshape(x2d.shape)
-        disp[r] = tx / batch_size - x2d
+        tx = np.asarray(transport.averaged_map(mu, batch, weights)(x), dtype=float)
+        disp[r] = tx.reshape(x2d.shape) - x2d
     dbar = disp.mean(axis=0)
     dev = disp - dbar
     return float(np.sum(dev * dev) / (reps - 1) / x2d.shape[0])

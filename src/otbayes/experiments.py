@@ -400,7 +400,7 @@ def _consistency_cell(args):
                                                     max(cfg.k_grid))
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
         return ("failed", (n, None, rep, repr(exc)))
-    d2 = np.array([transport.w2_ls(m, m0) ** 2 for m in models])
+    d2 = transport.LsCrossTerms(m0, models, np.full(len(models), 1.0 / len(models))).w2_sq()
     wall = 1e3 * (time.perf_counter() - t0)
     recs = [ExperimentRecord("consistency", n, k, None, rep, "W2sq_post_to_truth",
                              float(d2[_strided(k, d2.size)].mean()), wall,

@@ -27,6 +27,7 @@ from .linalg import check_pd, inv_psd, sqrtm_psd
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
+_U_HI = float(np.nextafter(1.0, 0.0))
 
 # Default quantile-level grid: Chebyshev-spaced in (0,1), clipped away from
 # the endpoints so heavy-tailed quantiles stay finite.
@@ -43,7 +44,7 @@ def default_levels(n: int = GRID_SIZE, clip: float = TAIL_CLIP) -> np.ndarray:
 
 def _check_prob(u, name: str = "u"):
     if isinstance(u, float):
-        # scalar quadrature integrands land here once per node and component
+        # scalar callers (the root search in QuantileMixModel.cdf) skip the array path
         if u <= 0.0 or u >= 1.0:
             raise ValueError(f"{name} must lie strictly inside (0, 1)")
         return u
@@ -171,14 +172,25 @@ class UnivariateModel:
     """Interface shared by all one-dimensional models.
 
     Subclasses implement ``quantile``, ``cdf``, ``pdf`` and moments; the
-    rest (sampling, log-density, quantile derivative) has generic
-    fallbacks here.
+    rest (sampling, log-density, quantile derivative, upper quantile) has
+    generic fallbacks here.
+
+    ``upper_quantile(v)`` is ``Q(1 - v)`` for v in (0, 1), evaluated
+    without rounding ``1 - v``: families with a closed form keep full
+    relative precision in v as v -> 0, so the upper tail resolves as
+    finely as the lower one. The fallback rounds ``1 - v``, clamped below
+    1, which suffices only where Q stays smooth and bounded up to u = 1
+    (a grid's linear extrapolation).
     """
 
     family = "univariate"
 
     def quantile(self, u):
         raise NotImplementedError
+
+    def upper_quantile(self, v):
+        v = _check_prob(v, "v")
+        return self.quantile(np.minimum(1.0 - v, _U_HI))
 
     def cdf(self, x):
         raise NotImplementedError
@@ -232,6 +244,10 @@ class LocationScaleUnivariate(UnivariateModel):
     def _q0(self, u):
         raise NotImplementedError
 
+    def _q0_upper(self, v):
+        """``Q0(1 - v)`` in closed form, without forming ``1 - v``."""
+        raise NotImplementedError
+
     def _cdf0(self, z):
         raise NotImplementedError
 
@@ -251,6 +267,10 @@ class LocationScaleUnivariate(UnivariateModel):
     def quantile(self, u):
         u = _check_prob(u)
         return self.loc + self.scale * self._q0(u)
+
+    def upper_quantile(self, v):
+        v = _check_prob(v, "v")
+        return self.loc + self.scale * self._q0_upper(v)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -285,6 +305,9 @@ class Normal(LocationScaleUnivariate):
     def _q0(self, u):
         return special.ndtri(u)
 
+    def _q0_upper(self, v):
+        return -special.ndtri(v)
+
     def _cdf0(self, z):
         return special.ndtr(z)
 
@@ -303,6 +326,10 @@ class Laplace(LocationScaleUnivariate):
     def _q0(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+    def _q0_upper(self, v):
+        v = np.asarray(v, dtype=float)
+        return np.where(v < 0.5, -np.log(2.0 * v), np.log(2.0 * (1.0 - v)))
 
     def _cdf0(self, z):
         z = np.asarray(z, dtype=float)
@@ -335,6 +362,9 @@ class StudentT(LocationScaleUnivariate):
 
     def _q0(self, u):
         return special.stdtrit(self.df, u)
+
+    def _q0_upper(self, v):
+        return -special.stdtrit(self.df, v)
 
     def _cdf0(self, z):
         return special.stdtr(self.df, z)
@@ -371,6 +401,9 @@ class Exponential(LocationScaleUnivariate):
     def _q0(self, u):
         return -np.log1p(-np.asarray(u, dtype=float))
 
+    def _q0_upper(self, v):
+        return -np.log(v)
+
     def _cdf0(self, z):
         z = np.asarray(z, dtype=float)
         return np.where(z < 0.0, 0.0, -np.expm1(-z))
@@ -396,6 +429,9 @@ class Logistic(LocationScaleUnivariate):
         u = np.asarray(u, dtype=float)
         return np.log(u / (1.0 - u))
 
+    def _q0_upper(self, v):
+        return np.log1p(-v) - np.log(v)
+
     def _cdf0(self, z):
         return special.expit(z)
 
@@ -412,6 +448,9 @@ class Gumbel(LocationScaleUnivariate):
 
     def _q0(self, u):
         return -np.log(-np.log(np.asarray(u, dtype=float)))
+
+    def _q0_upper(self, v):
+        return -np.log(-np.log1p(-v))
 
     def _cdf0(self, z):
         return np.exp(-np.exp(-np.asarray(z, dtype=float)))
@@ -504,6 +543,13 @@ class QuantileMixModel(UnivariateModel):
         out = self.weights[0] * self.components[0].quantile(u)
         for w, comp in zip(self.weights[1:], self.components[1:]):
             out = out + w * comp.quantile(u)
+        return out
+
+    def upper_quantile(self, v):
+        v = _check_prob(v, "v")
+        out = self.weights[0] * self.components[0].upper_quantile(v)
+        for w, comp in zip(self.weights[1:], self.components[1:]):
+            out = out + w * comp.upper_quantile(v)
         return out
 
     def quantile_derivative(self, u):

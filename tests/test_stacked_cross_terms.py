@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from otbayes import (
     Generator,
+    Laplace,
     LocationScatterModel,
     MatrixNotPDError,
     ModelDistribution,
@@ -20,12 +21,16 @@ from otbayes import (
     empirical_barycenter,
     fixed_point_residual,
     gk_step,
+    Normal,
     make_ls_model,
+    ot_map,
     ot_map_ls,
+    variance_of_gradient_estimator,
+    w2_ls,
 )
 from otbayes.barycenter import _grad_norm_sq, risk
 from otbayes.linalg import EIG_FLOOR, sqrtm_psd
-from otbayes.transport import LsCrossTerms
+from otbayes.transport import LsCrossTerms, averaged_map
 
 TIGHT = StopRule(rel_tol=1e-13, max_iter=500)
 
@@ -173,6 +178,70 @@ class TestStackedMatchesPerModel:
         with pytest.raises(ValueError):
             risk(mu, dist.support, dist.weights, cross=LsCrossTerms(other, dist.support,
                                                                    dist.weights))
+
+
+def _ref_variance_of_gradient_estimator(mu, dist, batch_size, reps, rng, n_points):
+    """The estimator as it read before the averaged map: one ot_map per member."""
+    x = np.asarray(mu.sample(n_points, rng), dtype=float)
+    x2d = x.reshape(x.shape[0], -1)
+    disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
+    for r in range(reps):
+        batch = [dist.draw(rng) for _ in range(batch_size)]
+        tx = np.zeros_like(x2d)
+        for m in batch:
+            tx += np.asarray(ot_map(mu, m)(x), dtype=float).reshape(x2d.shape)
+        disp[r] = tx / batch_size - x2d
+    dev = disp - disp.mean(axis=0)
+    return float(np.sum(dev * dev) / (reps - 1) / x2d.shape[0])
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 200 reps")
+class TestAveragedMap:
+    @pytest.mark.parametrize("batch_size", [1, 2, 20])
+    def test_scatter_location_variance_matches_the_per_member_loop(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        gen = Generator.standard_normal(3)
+        dist = ModelDistribution(support=_cloud(rng, gen, 40))
+        mu = make_ls_model(gen, rng.normal(size=3), _random_scatter(rng, 3))
+        got = variance_of_gradient_estimator(mu, dist, batch_size, 6,
+                                             np.random.default_rng(7), n_points=256)
+        want = _ref_variance_of_gradient_estimator(mu, dist, batch_size, 6,
+                                                   np.random.default_rng(7), 256)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 20])
+    def test_univariate_variance_matches_the_per_member_loop(self, batch_size):
+        def draw(r):
+            loc, scale = r.normal(), math.exp(0.3 * r.normal())
+            return Normal(loc, scale) if r.uniform() < 0.5 else Laplace(loc, scale)
+
+        dist = ModelDistribution.from_sampler(draw)
+        mu = Normal(0.2, 1.3)
+        got = variance_of_gradient_estimator(mu, dist, batch_size, 6,
+                                             np.random.default_rng(8), n_points=256)
+        want = _ref_variance_of_gradient_estimator(mu, dist, batch_size, 6,
+                                                   np.random.default_rng(8), 256)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_scatter_location_map_is_one_affine_map(self):
+        rng = np.random.default_rng(9)
+        gen = Generator.standard_normal(4)
+        models = _cloud(rng, gen, 7)
+        weights = rng.dirichlet(np.ones(7))
+        mu = make_ls_model(gen, rng.normal(size=4), _random_scatter(rng, 4))
+        x = rng.normal(size=(50, 4))
+        want = sum(w * ot_map_ls(mu, m)(x) for w, m in zip(weights, models))
+        assert _rel(averaged_map(mu, models, weights)(x), want) <= 1e-12
+
+    def test_distances_from_the_truth_side_equal_per_model_ones(self):
+        # the consistency cell reads all W2^2 to the truth from one stack
+        rng = np.random.default_rng(10)
+        gen = Generator.mixed_experiment(6)
+        models = _cloud(rng, gen, 50)
+        m0 = make_ls_model(gen, np.zeros(6), _random_scatter(rng, 6))
+        got = LsCrossTerms(m0, models, np.full(50, 0.02)).w2_sq()
+        want = np.array([w2_ls(m, m0) ** 2 for m in models])
+        assert _rel(got, want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

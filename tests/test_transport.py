@@ -3,9 +3,12 @@ brute-force permutation enumeration."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from otbayes import (
@@ -15,12 +18,19 @@ from otbayes import (
     Exponential,
     GaussianCopula,
     Generator,
+    GridQuantile,
+    GridUnivariate,
+    Gumbel,
     IndependenceCopula,
     Laplace,
+    Logistic,
     Normal,
+    QuadratureError,
+    QuantileMixModel,
     RadialProfile,
     SizeCapError,
     SphericalModel,
+    StudentT,
     discrete_ot,
     make_ls_model,
     ot_map_copula,
@@ -116,19 +126,28 @@ class TestUnivariateDistance:
         assert wp_univariate(Normal(0, 1), Normal(3, 1), 1.0) == pytest.approx(3.0, abs=1e-8)
 
     def test_heavy_tail_pair_converges(self):
-        from otbayes import StudentT
-
         val = wp_univariate(StudentT(3.0, 0.0, 1.0), StudentT(3.0, 1.0, 2.0))
         # oracle: scale/location shift of the same shape
         t_var = 3.0
         assert val == pytest.approx(math.sqrt(1.0 + 1.0 * t_var), rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
     def test_t3_against_normal_reference(self):
-        from otbayes import StudentT
-
         # 1.2441770994341826: mpmath at 60 digits and a z-space quad agree
         val = wp_univariate(StudentT(3.0, 0.1, 1.2), Normal(0.0, 1.0))
-        assert val == pytest.approx(1.2441770994341826, rel=1e-7)
+        assert val == pytest.approx(1.2441770994341826, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_t25_against_normal_reference(self):
+        # 1.5501622700547419: mpmath at 40 digits in z-space
+        val = wp_univariate(StudentT(2.5), Normal(0.0, 1.0))
+        assert val == pytest.approx(1.5501622700547419, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1.0, 2.0])
+    def test_infinite_second_moment_raises(self, df):
+        # t(df <= 2) has no second moment, so W2 to N(0, 1) is infinite
+        with pytest.raises(QuadratureError):
+            wp_univariate(StudentT(df), Normal(0.0, 1.0))
 
     def test_monotone_map_cost_equals_distance(self):
         # transporting src by the monotone map realizes the distance
@@ -136,6 +155,83 @@ class TestUnivariateDistance:
         t = ot_map_univariate(src, dst)
         val, _ = integrate.quad(lambda x: (t(x) - x) ** 2 * src.pdf(x), -9, 9, limit=200)
         assert math.sqrt(val) == pytest.approx(wp_univariate(src, dst), abs=1e-6)
+
+
+# standardized shape of each location-scale family and its (mean, variance),
+# from the textbook formulas rather than the models' own moment methods
+_SHAPES = {
+    "normal": (lambda l, s: Normal(l, s), 0.0, 1.0),
+    "laplace": (lambda l, s: Laplace(l, s), 0.0, 2.0),
+    "logistic": (lambda l, s: Logistic(l, s), 0.0, math.pi**2 / 3.0),
+    "gumbel": (lambda l, s: Gumbel(l, s), 0.5772156649015329, math.pi**2 / 6.0),
+    "exponential": (lambda l, s: Exponential(1.0 / s), 1.0, 1.0),
+    "t3": (lambda l, s: StudentT(3.0, l, s), 0.0, 3.0),
+    "t5": (lambda l, s: StudentT(5.0, l, s), 0.0, 5.0 / 3.0),
+}
+
+
+def _upper_quantile_models():
+    grid_levels = np.linspace(0.01, 0.99, 41)
+    return [
+        Normal(0.3, 1.7), Laplace(-1.0, 0.5), Logistic(0.0, 2.0), Gumbel(1.0, 0.8),
+        Exponential(2.0), StudentT(3.0, 0.2, 1.1), StudentT(5.0),
+        QuantileMixModel([0.4, 0.35, 0.25], [Normal(0, 1), StudentT(3.0, 1.0, 2.0),
+                                             Gumbel(-0.5, 1.5)]),
+        GridUnivariate(GridQuantile(grid_levels, stats.norm.ppf(grid_levels, 1.0, 2.0))),
+        QuantileMixModel([0.5, 0.5], [Laplace(0, 1), GridUnivariate(GridQuantile(
+            grid_levels, stats.logistic.ppf(grid_levels)))]),
+    ]
+
+
+class TestUnivariateQuadrature:
+    @given(
+        shape=st.sampled_from(sorted(_SHAPES)),
+        l1=st.floats(-3.0, 3.0), s1=st.floats(0.2, 3.0),
+        l2=st.floats(-3.0, 3.0), s2=st.floats(0.2, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_shape_pairs_against_the_closed_form(self, shape, l1, s1, l2, s2):
+        make, mean0, var0 = _SHAPES[shape]
+        if shape == "exponential":
+            l1 = l2 = 0.0
+        assume(abs(l1 - l2) + abs(s1 - s2) > 1e-3)
+        # Q1 - Q2 = dl + ds Q0, so W2^2 = dl^2 + 2 dl ds mu0 + ds^2 (var0 + mu0^2)
+        dl, ds = l1 - l2, s1 - s2
+        want = dl * dl + 2.0 * dl * ds * mean0 + ds * ds * (var0 + mean0 * mean0)
+        got = wp_univariate(make(l1, s1), make(l2, s2)) ** 2
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @given(v=st.floats(1e-3, 0.5), index=st.integers(0, len(_upper_quantile_models()) - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_upper_quantile_is_the_reflected_quantile(self, v, index):
+        model = _upper_quantile_models()[index]
+        np.testing.assert_allclose(model.upper_quantile(v), model.quantile(1.0 - v),
+                                   rtol=1e-12, atol=1e-12)
+        vs = np.array([v, 0.5 * v, 0.5])
+        np.testing.assert_allclose(model.upper_quantile(vs), model.quantile(1.0 - vs),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_upper_quantile_rejects_levels_outside_the_unit_interval(self):
+        for model in _upper_quantile_models():
+            with pytest.raises(ValueError):
+                model.upper_quantile(0.0)
+            with pytest.raises(ValueError):
+                model.upper_quantile(np.array([0.5, 1.0]))
+
+    def test_grid_and_mix_pairs_match_a_split_quad(self):
+        levels = np.linspace(0.02, 0.98, 25)
+        grid = GridUnivariate(GridQuantile(levels, stats.laplace.ppf(levels, 0.5, 1.2)))
+        mix = QuantileMixModel([0.6, 0.4], [Normal(0, 1), grid])
+        for m1, m2 in [(grid, Normal(0.0, 1.0)), (mix, Logistic(0.2, 0.7))]:
+            pieces = np.concatenate([[0.0], levels, [1.0]])
+            want = math.fsum(integrate.quad(
+                lambda u: (float(m1.quantile(u)) - float(m2.quantile(u))) ** 2, a, b,
+                limit=200, epsabs=1e-14, epsrel=1e-10)[0]
+                for a, b in zip(pieces[:-1], pieces[1:]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = wp_univariate(m1, m2) ** 2
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestLsMaps:
