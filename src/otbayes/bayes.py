@@ -33,6 +33,8 @@ from .linalg import sqrtm_psd
 from .measures import (
     Generator,
     LocationScatterModel,
+    cosine_kernel_roots,
+    cosine_kernel_whitening,
     experiment_covariance,
 )
 from . import transport
@@ -307,6 +309,18 @@ class _TransformedTarget:
     ``log_densities`` scores an (m, dim) stack of states in one pass. A
     row is -inf exactly where its state is out of domain, has a non-PD
     covariance or a non-finite total, whatever the other rows hold.
+
+    The cosine-kernel covariance ``Sigma = eps I + sigma B B^T`` (B is
+    q x 2, see ``experiment_covariance``) is whitened in closed form,
+    with no q x q eigendecomposition: ``z = eps^{-1/2} (x - b) + ((x - b)
+    U) diag(h) U^T`` with ``U = B V`` from the 2 x 2 eigenpairs ``B^T B =
+    V diag(lam) V^T`` and ``h = -sigma / (sqrt(eps) sqrt(eps + sigma lam)
+    (sqrt(eps) + sqrt(eps + sigma lam)))``; half the log-determinant is
+    ``(q - 2)/2 log eps + 1/2 sum log(eps + sigma lam)``. A covariance
+    counts as not PD when its smallest eigenvalue (eps for q > 2) is at
+    most ``q 2^-52`` times its largest, where a double-precision ``eigh``
+    cannot tell it from 0. A fixed covariance is whitened once, by
+    ``eigh``.
     """
 
     def __init__(self, prior: ParamPrior, data: Dataset, gen: Generator):
@@ -339,9 +353,10 @@ class _TransformedTarget:
         if self.has_cov_params:
             eps, sigma, omega_inv = thetas[:, q:].T
             live = np.flatnonzero((eps > 0.0) & (sigma > 0.0))
-            covs = experiment_covariance(q, eps[live], sigma[live], 1.0 / omega_inv[live])
-            pd, whiten, log_det_a = _whitening(covs)
-            live, whiten, log_det_a = live[pd], whiten[pd], log_det_a[pd]
+            ok, scale, u, h, log_det_a = cosine_kernel_whitening(
+                q, eps[live], sigma[live], 1.0 / omega_inv[live])
+            live, scale, u, log_det_a = live[ok], scale[ok], u[ok], log_det_a[ok]
+            uh_t = np.swapaxes(u * h[ok, None, :], 1, 2)
         else:
             pd, whiten, log_det_a = self._fixed
             live = np.arange(thetas.shape[0] if pd[0] else 0)
@@ -349,10 +364,15 @@ class _TransformedTarget:
             log_det_a = np.broadcast_to(log_det_a, live.shape)
         step = max(1, _BLOCK_DOUBLES // (n * q))
         for lo in range(0, live.size, step):
-            rows = live[lo:lo + step]
-            z = (obs - thetas[rows, None, :q]) @ whiten[lo:lo + step]
+            rows, blk = live[lo:lo + step], slice(lo, lo + step)
+            z = obs - thetas[rows, None, :q]
+            if self.has_cov_params:
+                # scale I plus a rank-2 correction: no (n, q) @ (q, q) product
+                z = z * scale[blk, None, None] + (z @ u[blk]) @ uh_t[blk]
+            else:
+                z = z @ whiten[blk]
             log_f = self.gen.log_density(z.reshape(-1, q)).reshape(rows.size, n)
-            out[rows] = np.sum(log_f, axis=1) - n * log_det_a[lo:lo + step]
+            out[rows] = np.sum(log_f, axis=1) - n * log_det_a[blk]
         out[~np.isfinite(out)] = -math.inf
         return out
 
@@ -635,7 +655,14 @@ def metropolis_sample(
 
 def posterior_models(chain: PosteriorChain, gen: Generator,
                      prior: Optional[ParamPrior] = None) -> ModelDistribution:
-    """Uniform empirical measure over the models indexed by the chain."""
+    """Uniform empirical measure over the models indexed by the chain.
+
+    Every scatter root is taken in one pass: the closed form of
+    ``cosine_kernel_roots`` for the cosine-kernel prior, one shared
+    ``sqrtm_psd`` for a fixed covariance. Draws out of the parameter
+    domain, or whose model the constructor rejects, are dropped with a
+    warning that counts them.
+    """
     if len(chain) == 0:
         raise ValueError("chain is empty")
     q = gen.dimension
@@ -643,14 +670,28 @@ def posterior_models(chain: PosteriorChain, gen: Generator,
         if chain.draws.shape[1] != q + 3:
             raise ValueError("pass the prior used to build a fixed-covariance chain")
         prior = ParamPrior(q)
-    models = []
-    rejected = 0
-    for theta in chain.draws:
+    draws = chain.draws
+    roots = np.full((len(draws), q, q), np.nan)
+    if prior.fixed_covariance is None:
+        eps, sigma, omega_inv = draws[:, q:].T
+        with np.errstate(divide="ignore"):
+            omega = 1.0 / omega_inv
+        live = np.isfinite(draws[:, q:]).all(axis=1) & np.isfinite(omega)
+        live &= (eps > 0.0) & (sigma > 0.0)
+        roots[live] = cosine_kernel_roots(q, eps[live], sigma[live], omega[live])
+    else:
         try:
-            cov = prior.covariance_of(theta)
-            models.append(LocationScatterModel(gen, theta[:q], sqrtm_psd(cov)))
+            roots[:] = sqrtm_psd(prior.fixed_covariance)
         except (MatrixNotPDError, ValueError):
-            rejected += 1
+            pass
+    models = []
+    ok = np.isfinite(roots).all(axis=(1, 2))
+    for theta, root in zip(draws[ok], roots[ok]):
+        try:
+            models.append(LocationScatterModel(gen, theta[:q], root))
+        except (MatrixNotPDError, ValueError):
+            pass
+    rejected = len(draws) - len(models)
     if rejected:
         warnings.warn(f"{rejected} draws produced non-PD covariances and were dropped",
                       RuntimeWarning, stacklevel=2)

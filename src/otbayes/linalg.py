@@ -54,16 +54,23 @@ def sqrtm_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     if np.any(bad):
         raise MatrixNotPDError(f"{name}{_stack_note(bad)} is not positive semidefinite",
                                smallest_eigenvalue=float(np.min(low[bad])))
+    vals = clamp_spectrum(vals, low, name=name)
+    return np.matmul(vecs * np.sqrt(vals)[..., None, :], np.swapaxes(vecs, -1, -2), out=mat)
+
+
+def clamp_spectrum(vals: np.ndarray, low: np.ndarray, *, name: str = "matrix") -> np.ndarray:
+    """``vals`` raised to ``EIG_FLOOR``, with a warning, when any smallest
+    eigenvalue in ``low`` (one per matrix) falls below the floor."""
     clamped = low < EIG_FLOOR
     if np.any(clamped):
         warnings.warn(
             f"{name}{_stack_note(clamped)}: eigenvalues below {EIG_FLOOR:g} clamped "
             f"(smallest {float(np.min(low)):.3e})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        vals = np.maximum(vals, EIG_FLOOR)
-    return np.matmul(vecs * np.sqrt(vals)[..., None, :], np.swapaxes(vecs, -1, -2), out=mat)
+        return np.maximum(vals, EIG_FLOOR)
+    return vals
 
 
 def check_pd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special, stats
 
 from .errors import MatrixNotPDError
-from .linalg import check_pd, inv_psd, sqrtm_psd
+from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_psd
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
@@ -683,7 +683,7 @@ class Generator:
     all coordinates are normal.
     """
 
-    __slots__ = ("coordinates", "_radial", "_key")
+    __slots__ = ("coordinates", "_radial", "_key", "_families", "_others")
 
     def __init__(self, coordinates: Sequence[UnivariateModel]):
         if not coordinates:
@@ -691,12 +691,29 @@ class Generator:
         self.coordinates = tuple(coordinates)
         self._radial: Optional[GridQuantile] = None
         key = []
-        for c in self.coordinates:
+        members: dict = {}
+        others = []
+        for j, c in enumerate(self.coordinates):
             if isinstance(c, LocationScaleUnivariate):
                 key.append(c.shape_key() + (c.loc, c.scale))
+                members.setdefault(c.shape_key(), []).append(j)
             else:
                 key.append((c.family, id(c)))
+                others.append(j)
         self._key = tuple(key)
+        # log_density scores each location-scale family with one _logpdf0
+        # call on a contiguous gather of its columns: (shape member, cols,
+        # loc, scale, sum of log scales), loc and scale None when standard
+        families = []
+        for cols in members.values():
+            cs = [self.coordinates[j] for j in cols]
+            loc = np.array([c.loc for c in cs])
+            scale = np.array([c.scale for c in cs])
+            standard = not np.any(loc) and np.all(scale == 1.0)
+            families.append((cs[0], np.array(cols), None if standard else loc,
+                             None if standard else scale, float(np.sum(np.log(scale)))))
+        self._families = tuple(families)
+        self._others = tuple(others)
 
     @property
     def dimension(self) -> int:
@@ -708,8 +725,13 @@ class Generator:
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape[0])
-        for j, coord in enumerate(self.coordinates):
-            out += coord.log_pdf(x[:, j])
+        for shape, cols, loc, scale, log_scale in self._families:
+            z = x[:, cols]
+            if loc is not None:
+                z = (z - loc) / scale
+            out += np.sum(shape._logpdf0(z), axis=1) - log_scale
+        for j in self._others:
+            out += self.coordinates[j].log_pdf(x[:, j])
         return out
 
     def density(self, x: np.ndarray) -> np.ndarray:
@@ -849,6 +871,10 @@ def make_ls_model(gen: Generator, b, sigma) -> LocationScatterModel:
     return LocationScatterModel(gen, b, sqrtm_psd(sigma, name="sigma"))
 
 
+def _kernel_grid(q: int) -> np.ndarray:
+    return np.zeros(1) if q == 1 else (np.arange(q) / (q - 1)) ** 1.1
+
+
 def experiment_covariance(q: int, eps: float, sigma: float, omega: float) -> np.ndarray:
     """Cosine-kernel covariance on a mildly non-uniform grid.
 
@@ -856,20 +882,104 @@ def experiment_covariance(q: int, eps: float, sigma: float, omega: float) -> np.
     ``s_i = ((i-1)/(q-1))^1.1``. Positive definite for eps > 0 because the
     cosine part is a rank-2 Gram matrix. Scalar parameters give one q x q
     matrix; equal-length parameter vectors give a stack of them.
+
+    With ``B = [cos(omega s), sin(omega s)]`` (q x 2), ``Sigma = eps I +
+    sigma B B^T``. Let ``B^T B = V diag(lam) V^T`` and ``U = B V``, so
+    ``U^T U = diag(lam)``. Then, with ``e = eps + sigma lam``:
+
+    - ``Sigma^{-1/2} = eps^{-1/2} I + U diag(h) U^T`` with ``h = -sigma /
+      (sqrt(eps) sqrt(e) (sqrt(eps) + sqrt(e)))``;
+    - ``Sigma^{1/2} = sqrt(eps) I + U diag(g) U^T`` with ``g = sigma /
+      (sqrt(e) + sqrt(eps))``;
+    - ``log det Sigma = (q - 2) log eps + sum(log e)``.
+
+    Neither h nor g divides by lam, so both stay exact as lam -> 0.
+    :func:`cosine_kernel_whitening` and :func:`cosine_kernel_roots`
+    evaluate them with no q x q eigendecomposition.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     eps, sigma, omega = (np.asarray(v, dtype=float) for v in (eps, sigma, omega))
     if np.any(eps <= 0.0) or np.any(sigma <= 0.0):
         raise ValueError("eps and sigma must be positive")
-    if q == 1:
-        s = np.zeros(1)
-    else:
-        s = (np.arange(q) / (q - 1)) ** 1.1
+    s = _kernel_grid(q)
     mat = sigma[..., None, None] * np.cos(omega[..., None, None] * (s[:, None] - s[None, :]))
     diag = np.arange(q)
     mat[..., diag, diag] += eps[..., None]
     return mat
+
+
+def _cosine_kernel_spectrum(q: int, eps, sigma, omega):
+    """``(u, lam, e, low)`` for m kernels given by parameter vectors.
+
+    ``u = B V`` (m, q, 2) holds the 2 x 2 eigenvectors of ``B^T B`` taken
+    in closed form, ``lam`` (m, 2) the squared column norms of u, largest
+    first, and ``e = eps + sigma lam``. ``low`` (m,) is the smallest
+    eigenvalue of Sigma: eps when q > 2, else the smallest of ``e[:, :q]``.
+    """
+    ws = omega[:, None] * _kernel_grid(q)
+    basis = np.stack([np.cos(ws), np.sin(ws)], axis=-1)  # B, (m, q, 2)
+    gram = np.einsum("mik,mil->mkl", basis, basis)
+    half = 0.5 * (gram[:, 0, 0] - gram[:, 1, 1])
+    b = gram[:, 0, 1]
+    r = np.hypot(half, b)
+    # top eigenvector, from the row of B^T B - lam_max I without cancellation
+    v = np.where(half >= 0.0, [half + r, b], [b, r - half])
+    norm = np.hypot(v[0], v[1])
+    v = np.where(norm > 0.0, v / np.where(norm > 0.0, norm, 1.0), [[1.0], [0.0]])
+    rot = np.stack([np.stack([v[0], -v[1]], -1), np.stack([v[1], v[0]], -1)], -2)
+    u = basis @ rot
+    lam = np.einsum("mik,mik->mk", u, u)
+    e = eps[:, None] + sigma[:, None] * lam
+    low = np.minimum(eps, e[:, 1]) if q > 2 else np.min(e[:, :q], axis=1)
+    return u, lam, e, low
+
+
+def cosine_kernel_whitening(q: int, eps, sigma, omega):
+    """``(ok, scale, u, h, half_log_det)`` of m cosine kernels in closed form.
+
+    For a row with ``ok``, ``Sigma^{-1/2} = scale I + u diag(h) u^T`` (see
+    :func:`experiment_covariance`) and ``half_log_det = log det
+    Sigma^{1/2}``. A row is not ok when it is not finite or when its
+    smallest eigenvalue is at most ``q 2^-52`` times its largest (for
+    q > 2: ``eps <= q 2^-52 (eps + sigma lam_max)``); below that a
+    double-precision ``eigh`` of Sigma cannot tell it from 0. Rows that
+    are not ok hold finite stand-ins. eps and sigma must be positive.
+    """
+    eps, sigma, omega = (np.asarray(v, dtype=float) for v in (eps, sigma, omega))
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, _, e, low = _cosine_kernel_spectrum(q, eps, sigma, omega)
+        ok = np.isfinite(e).all(axis=1) & (low > q * 2.0**-52 * e[:, 0])
+    eps, sigma = np.where(ok, eps, 1.0), np.where(ok, sigma, 1.0)
+    e = np.where(ok[:, None], e, 1.0)
+    u = np.where(ok[:, None, None], u, 0.0)
+    root_eps, root_e = np.sqrt(eps)[:, None], np.sqrt(e)
+    h = -sigma[:, None] / (root_eps * root_e * (root_eps + root_e))
+    half_log_det = 0.5 * ((q - 2) * np.log(eps) + np.sum(np.log(e), axis=1))
+    return ok, 1.0 / root_eps[:, 0], u, h, half_log_det
+
+
+def cosine_kernel_roots(q: int, eps, sigma, omega) -> np.ndarray:
+    """Principal roots ``Sigma^{1/2}`` of m cosine kernels, (m, q, q).
+
+    The closed form of :func:`experiment_covariance`, with no
+    eigendecomposition. As in :func:`~otbayes.linalg.sqrtm_psd`, the
+    eigenvalues eps and ``eps + sigma lam`` are clamped to ``EIG_FLOOR``
+    with a warning. eps and sigma must be positive and finite.
+    """
+    eps, sigma, omega = (np.asarray(v, dtype=float) for v in (eps, sigma, omega))
+    u, lam, e, low = _cosine_kernel_spectrum(q, eps, sigma, omega)
+    eps_c = clamp_spectrum(eps, low, name="cosine kernel")
+    e_c = np.maximum(e, eps_c[:, None])
+    # g = (sqrt(e_c) - sqrt(eps_c)) / lam, in the form that is exact
+    # wherever eps was not clamped
+    gap = np.where((eps_c == eps)[:, None], sigma[:, None],
+                   (e_c - eps_c[:, None]) / np.where(lam > 0.0, lam, 1.0))
+    g = gap / (np.sqrt(e_c) + np.sqrt(eps_c)[:, None])
+    roots = (u * g[:, None, :]) @ np.swapaxes(u, 1, 2)
+    diag = np.arange(q)
+    roots[:, diag, diag] += np.sqrt(eps_c)[:, None]
+    return roots
 
 
 class RadialProfile:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbayes import (
     CopulaModel,
+    GaussianCopula,
     Generator,
     GridQuantile,
     GridUnivariate,
@@ -21,12 +24,14 @@ from otbayes import (
     SphericalModel,
     StepSchedule,
     StopRule,
+    StudentT,
     batch_sgd_step,
     empirical_barycenter,
     fixed_point_residual,
     gk_step,
     make_ls_model,
     population_barycenter,
+    risk,
     sgd_step,
     variance_of_gradient_estimator,
     w2,
@@ -414,3 +419,106 @@ class TestMixedGridSupport:
         uu = np.linspace(0.05, 0.95, 9)
         expected = 0.5 * (Normal(0, 1).quantile(uu) + grid_model.quantile(uu))
         assert np.allclose(bary.quantile(uu), expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Invariances of the univariate and copula barycenters
+# ---------------------------------------------------------------------------
+
+_LEVELS = np.linspace(0.01, 0.99, 41)
+_UNIVARIATE = (Normal, Laplace, Logistic, Gumbel, lambda loc, scale: StudentT(5.0, loc, scale))
+
+
+def _univariate_cloud(rng, k):
+    """k models of mixed families, one of them a quantile grid."""
+    out = [_UNIVARIATE[int(rng.integers(len(_UNIVARIATE)))](rng.normal(), math.exp(0.4 * rng.normal()))
+           for _ in range(k - 1)]
+    values = Normal(rng.normal(), math.exp(0.4 * rng.normal())).quantile(_LEVELS)
+    return out + [GridUnivariate(GridQuantile(_LEVELS, values))]
+
+
+def _moved(m, scale, shift):
+    """L(scale x + shift) for x ~ m, scale > 0."""
+    if isinstance(m, GridUnivariate):
+        return GridUnivariate(GridQuantile(m.grid.knots, scale * m.grid.values + shift))
+    if isinstance(m, StudentT):
+        return StudentT(m.df, scale * m.loc + shift, scale * m.scale)
+    return type(m)(scale * m.loc + shift, scale * m.scale)
+
+
+def _copula_cloud(rng, k, q, copula):
+    return [CopulaModel(copula, _univariate_cloud(rng, q)) for _ in range(k)]
+
+
+def _marginals(m):
+    return m.marginals if isinstance(m, CopulaModel) else (m,)
+
+
+def _bary_quantiles(dist):
+    bary, trace = empirical_barycenter(dist, stop=TIGHT)
+    assert trace.converged
+    return bary, np.array([mj.quantile(_LEVELS) for mj in _marginals(bary)])
+
+
+def _same_barycenter(d1, d2):
+    a, qa = _bary_quantiles(d1)
+    b, qb = _bary_quantiles(d2)
+    assert np.allclose(qb, qa, rtol=1e-12, atol=1e-12)
+    assert risk(b, d2.support, d2.weights) == pytest.approx(
+        risk(a, d1.support, d1.weights), rel=1e-9, abs=1e-12)
+
+
+class TestFamilyBarycenterInvariance:
+    """Permutation, duplication and affine invariances for the univariate
+    and shared-copula families, whose barycenter is the averaged quantile."""
+
+    kinds = st.sampled_from(["univariate", "independence", "gaussian"])
+
+    @staticmethod
+    def _cloud(rng, kind, k):
+        if kind == "univariate":
+            return _univariate_cloud(rng, k)
+        copula = IndependenceCopula() if kind == "independence" else \
+            GaussianCopula([[1.0, 0.4], [0.4, 1.0]])
+        return _copula_cloud(rng, k, 2, copula)
+
+    @given(kind=kinds, k=st.integers(2, 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_permuting_the_support(self, kind, k, seed):
+        rng = np.random.default_rng(seed)
+        models = self._cloud(rng, kind, k)
+        weights = rng.dirichlet(np.ones(k))
+        weights /= weights.sum()
+        perm = rng.permutation(k)
+        _same_barycenter(ModelDistribution(support=models, weights=weights),
+                         ModelDistribution(support=[models[i] for i in perm],
+                                           weights=weights[perm]))
+
+    @given(kind=kinds, k=st.integers(2, 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_duplicated_model_equals_doubled_weight(self, kind, k, seed):
+        rng = np.random.default_rng(seed)
+        models = self._cloud(rng, kind, k)
+        dup = int(rng.integers(k))
+        doubled = np.ones(k)
+        doubled[dup] = 2.0
+        _same_barycenter(ModelDistribution(support=models, weights=doubled / doubled.sum()),
+                         ModelDistribution(support=models + [models[dup]]))
+
+    @given(kind=kinds, k=st.integers(1, 5), scale=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_translation_and_scaling_equivariance(self, kind, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        models = self._cloud(rng, kind, k)
+        shift = 5.0 * rng.normal(size=len(_marginals(models[0])))
+        if kind == "univariate":
+            moved = [_moved(m, scale, shift[0]) for m in models]
+        else:
+            moved = [CopulaModel(m.copula, [_moved(mj, scale, c)
+                                            for mj, c in zip(m.marginals, shift)])
+                     for m in models]
+        a, qa = _bary_quantiles(ModelDistribution(support=models))
+        b, qb = _bary_quantiles(ModelDistribution(support=moved))
+        assert np.allclose(qb, scale * qa + shift[:, None], rtol=1e-12, atol=1e-11 * scale)
+        assert risk(b, moved) == pytest.approx(scale**2 * risk(a, models), rel=1e-8, abs=1e-12)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -15,10 +15,12 @@ from otbayes import (
     Dataset,
     Generator,
     Laplace,
+    LocationScatterModel,
     McmcConfig,
     ModelDistribution,
     Normal,
     ParamPrior,
+    PosteriorChain,
     StopRule,
     bwb_estimator,
     exponential_model_average,
@@ -32,12 +34,17 @@ from otbayes import (
     w2,
     w2_ls,
 )
+import otbayes.bayes
 from otbayes.bayes import (
+    _BLOCK_DOUBLES,
     _TransformedTarget,
     _ensemble_sample,
     _walker_seeds,
     metropolis_accept,
 )
+from otbayes.experiments import ExperimentConfig
+from otbayes.linalg import sqrtm_psd
+from otbayes.measures import cosine_kernel_roots, cosine_kernel_whitening
 
 
 def _quiet_chain(*args, **kwargs):
@@ -647,3 +654,178 @@ class TestEnsembleMatchesPerWalkerSweep:
         assert np.allclose(draws, ref_draws, rtol=0.0, atol=1e-12)
         assert np.allclose(logps, ref_logps, rtol=1e-12, atol=0.0)
         assert rate == ref_rate
+
+
+# ---------------------------------------------------------------------------
+# The cosine kernel in closed form
+# ---------------------------------------------------------------------------
+
+
+def _eigh_whitening(covs):
+    """(pd, whiten, log_det_a) by one stacked eigh, as the likelihood took
+    them before the closed form."""
+    q = covs.shape[-1]
+    pd = np.all(np.isfinite(covs), axis=(1, 2))
+    vals, vecs = np.linalg.eigh(np.where(pd[:, None, None], covs, np.eye(q)))
+    pd &= vals[:, 0] > 0.0
+    root = np.sqrt(np.where(pd[:, None], vals, 1.0))
+    whiten = (vecs / root[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return pd, whiten, np.sum(np.log(root), axis=1)
+
+
+class _EighTarget(_TransformedTarget):
+    """The cosine-kernel likelihood with one q x q eigendecomposition and
+    one (n, q) @ (q, q) whitening product per state."""
+
+    def log_likelihoods(self, thetas):
+        q, obs = self.q, self.data.observations
+        n = obs.shape[0]
+        out = np.full(thetas.shape[0], -math.inf)
+        if n == 0:
+            return np.zeros_like(out)
+        eps, sigma, omega_inv = thetas[:, q:].T
+        live = np.flatnonzero((eps > 0.0) & (sigma > 0.0))
+        covs = experiment_covariance(q, eps[live], sigma[live], 1.0 / omega_inv[live])
+        pd, whiten, log_det_a = _eigh_whitening(covs)
+        live, whiten, log_det_a = live[pd], whiten[pd], log_det_a[pd]
+        step = max(1, _BLOCK_DOUBLES // (n * q))
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            z = (obs - thetas[rows, None, :q]) @ whiten[lo:lo + step]
+            log_f = self.gen.log_density(z.reshape(-1, q)).reshape(rows.size, n)
+            out[rows] = np.sum(log_f, axis=1) - n * log_det_a[lo:lo + step]
+        out[~np.isfinite(out)] = -math.inf
+        return out
+
+
+def _closed_form(q, eps, sigma, omega):
+    ok, scale, u, h, half_log_det = cosine_kernel_whitening(q, [eps], [sigma], [omega])
+    whiten = scale[0] * np.eye(q) + (u[0] * h[0]) @ u[0].T
+    return ok[0], whiten, half_log_det[0], cosine_kernel_roots(q, [eps], [sigma], [omega])[0]
+
+
+class TestCosineKernelClosedForm:
+    # eigh's own forward error on the whitening grows like q cond(Sigma)
+    # 2^-52 (2.1e-7 at cond 6e7 against a 50-digit reference, where the
+    # closed form is 1.1e-14 off); the bound adds that to 1e-9
+    @given(q=st.sampled_from([1, 2, 3, 15]), log_eps=st.floats(-12.0, 3.0),
+           log_sigma=st.floats(-3.0, 3.0), log_omega=st.floats(-4.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_against_eigh_and_sqrtm_psd(self, q, log_eps, log_sigma, log_omega):
+        eps, sigma, omega = math.exp(log_eps), 10.0**log_sigma, 10.0**log_omega
+        cov = experiment_covariance(q, eps, sigma, omega)
+        vals = np.linalg.eigvalsh(cov)
+        cond = vals[-1] / vals[0]
+        assume(cond < 1e8)
+        ok, whiten, half_log_det, root = _closed_form(q, eps, sigma, omega)
+        pd, ref_whiten, ref_half_log_det = _eigh_whitening(cov[None])
+        assert ok and pd[0]
+        tol = 1e-9 + 32.0 * q * cond * 2.0**-52
+        assert np.max(np.abs(whiten - ref_whiten[0])) <= tol * np.max(np.abs(ref_whiten[0]))
+        assert abs(half_log_det - ref_half_log_det[0]) <= tol * max(1.0, abs(half_log_det))
+        ref_root = sqrtm_psd(cov)
+        assert np.max(np.abs(root - ref_root)) <= 1e-9 * np.max(np.abs(ref_root))
+
+    @pytest.mark.parametrize("q,eps,sigma,omega", [
+        (15, 1.7676378564545388e-05, 113.45438775475378, 806.2759866471458),
+        (15, 8.19511049061251e-06, 20.62497781462973, 815.683728650184),
+        (3, 6.833447065029255e-06, 299.26356449179895, 76.91301563420451),
+        (15, 2e-5, 50.0, 1e-4),
+    ])
+    def test_against_a_50_digit_reference(self, q, eps, sigma, omega):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        s = (np.arange(q) / (q - 1)) ** 1.1
+        cov = mp.matrix(q, q)
+        for i in range(q):
+            for j in range(q):
+                cov[i, j] = sigma * mp.cos(mp.mpf(omega) * (mp.mpf(s[i]) - mp.mpf(s[j])))
+            cov[i, i] += eps
+        vals, vecs = mp.eigsy(cov)
+        ref_whiten = vecs * mp.diag([1 / mp.sqrt(v) for v in vals]) * vecs.T
+        ref_root = vecs * mp.diag([mp.sqrt(v) for v in vals]) * vecs.T
+        ok, whiten, half_log_det, root = _closed_form(q, eps, sigma, omega)
+        ref_whiten, ref_root = (np.array(m.tolist(), dtype=float) for m in (ref_whiten, ref_root))
+        assert ok
+        assert np.max(np.abs(whiten - ref_whiten)) <= 1e-12 * np.max(np.abs(ref_whiten))
+        assert np.max(np.abs(root - ref_root)) <= 1e-12 * np.max(np.abs(ref_root))
+        assert half_log_det == pytest.approx(float(sum(mp.log(v) for v in vals) / 2), rel=1e-13)
+
+    def test_singular_rows_follow_the_eigenvalue_rule(self):
+        # eps is the smallest eigenvalue at q = 15; a row is kept iff
+        # eps > q 2^-52 (eps + sigma lam_max)
+        q, sigma, omega = 15, 1.0, 2.0
+        lam_max = np.linalg.eigvalsh(experiment_covariance(q, 1e-300, sigma, omega))[-1]
+        edge = q * 2.0**-52 * lam_max
+        ok, *_ = cosine_kernel_whitening(q, [0.5 * edge, 2.0 * edge], [sigma] * 2, [omega] * 2)
+        assert ok.tolist() == [False, True]
+
+    def test_roots_clamp_like_sqrtm_psd(self):
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            root = cosine_kernel_roots(4, [1e-14, 0.1], [1.0, 1.0], [2.0, 2.0])
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            ref = sqrtm_psd(experiment_covariance(4, np.array([1e-14, 0.1]), np.ones(2), np.full(2, 2.0)))
+        assert np.allclose(root, ref, rtol=0.0, atol=1e-9)
+        assert np.linalg.eigvalsh(root[0])[0] == pytest.approx(math.sqrt(1e-12), rel=1e-6)
+
+    def test_sampler_draws_equal_the_eigh_target(self, monkeypatch):
+        cfg = ExperimentConfig()
+        gen, prior = cfg.generator(), cfg.prior()
+        data = Dataset(cfg.true_model().sample(1000, np.random.default_rng([3, 0, 1000])))
+        mcmc = McmcConfig(burn_sweeps=40, adapt_window=10)
+        chain = _quiet_chain(prior, data, 200, mcmc, np.random.default_rng(5), gen)
+        monkeypatch.setattr(otbayes.bayes, "_TransformedTarget", _EighTarget)
+        ref = _quiet_chain(prior, data, 200, mcmc, np.random.default_rng(5), gen)
+        assert np.array_equal(chain.draws, ref.draws)
+        assert chain.acceptance_rate == ref.acceptance_rate
+        np.testing.assert_allclose(chain.log_posterior, ref.log_posterior, rtol=1e-12)
+
+
+class TestPosteriorModelRoots:
+    def _chain(self, draws):
+        return PosteriorChain(draws, np.zeros(len(draws)), 0.3, 0, 1)
+
+    def test_fixed_covariance_root_is_taken_once(self, monkeypatch):
+        q = 3
+        cov = experiment_covariance(q, 0.1, 1.0, 2.0)
+        prior = ParamPrior(q, fixed_covariance=cov)
+        gen = Generator.mixed_experiment(q)
+        chain = self._chain(np.random.default_rng(0).normal(size=(40, q)))
+        want = [LocationScatterModel(gen, theta, sqrtm_psd(cov)) for theta in chain.draws]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sqrtm_psd(*args, **kwargs)
+
+        monkeypatch.setattr(otbayes.bayes, "sqrtm_psd", counting)
+        got = posterior_models(chain, gen, prior).support
+        assert len(calls) == 1
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.location, w.location)
+            assert np.array_equal(g.scatter, w.scatter)
+            assert np.array_equal(g.scatter_sq, w.scatter_sq)
+
+    def test_cosine_kernel_roots_equal_per_draw_roots(self):
+        q = 15
+        prior = ParamPrior(q)
+        gen = Generator.mixed_experiment(q)
+        rng = np.random.default_rng(1)
+        draws = np.array([prior.sample(rng) for _ in range(60)])
+        got = posterior_models(self._chain(draws), gen, prior).support
+        for theta, m in zip(draws, got):
+            ref = sqrtm_psd(prior.covariance_of(theta))
+            assert np.max(np.abs(m.scatter - ref)) <= 1e-11 * np.max(np.abs(ref))
+            assert np.array_equal(m.location, theta[:q])
+
+    def test_out_of_domain_draws_are_dropped_and_counted(self):
+        q = 3
+        prior = ParamPrior(q)
+        draws = np.array([prior.sample(np.random.default_rng(i)) for i in range(6)])
+        draws[1, q] = -0.1  # eps <= 0
+        draws[3, q + 2] = 0.0  # omega = inf
+        draws[4, q + 1] = np.nan
+        with pytest.warns(RuntimeWarning, match="^3 draws produced non-PD"):
+            dist = posterior_models(self._chain(draws), Generator.standard_normal(q), prior)
+        assert len(dist.support) == 3

@@ -269,6 +269,31 @@ class TestGeneratorStandardization:
         expected = stats.norm.logpdf(0.3) + stats.laplace.logpdf(-0.4)
         assert gen.log_density(x)[0] == pytest.approx(expected, abs=1e-12)
 
+    @given(n=st.integers(1, 300), order=st.permutations(range(13)), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_grouped_density_equals_the_per_coordinate_sum(self, n, order, seed):
+        # families are scored one call each; non-standard members, two t
+        # shapes, exponential at negative inputs and a grid coordinate
+        # (scored on its own) in any column order
+        coords = [
+            Normal(), Normal(0.3, 2.0), Normal(), Laplace(), Laplace(-1.0, 0.5),
+            StudentT(3.0), StudentT(5.0, 0.2, 1.5), StudentT(3.0, -0.4, 0.7),
+            Exponential(1.0), Exponential(2.5), Logistic(0.1, 1.3), Gumbel(),
+            GridUnivariate(GridQuantile(np.linspace(0.01, 0.99, 21),
+                                        stats.norm.ppf(np.linspace(0.01, 0.99, 21)))),
+        ]
+        gen = Generator([coords[i] for i in order])
+        x = 2.0 * np.random.default_rng(seed).normal(size=(n, len(coords)))
+        x[0] = -np.abs(x[0])  # outside the exponential support
+        with np.errstate(divide="ignore"):
+            want = sum(c.log_pdf(x[:, j]) for j, c in enumerate(gen.coordinates))
+            got = gen.log_density(x)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(got[~finite] == -math.inf)
+        assert not finite[0]
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("model", ALL_PARAMETRIC, ids=lambda m: m.family)

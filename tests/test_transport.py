@@ -4,6 +4,7 @@ brute-force permutation enumeration."""
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import otbayes.transport
 from otbayes import (
     CompatibilityError,
     CopulaModel,
@@ -148,6 +150,23 @@ class TestUnivariateDistance:
         # t(df <= 2) has no second moment, so W2 to N(0, 1) is infinite
         with pytest.raises(QuadratureError):
             wp_univariate(StudentT(df), Normal(0.0, 1.0))
+
+    @pytest.mark.parametrize("failed_tail", [0, 1])
+    def test_unconverged_tail_with_small_error_raises(self, monkeypatch, failed_tail):
+        # a tail that stops at tanh-sinh's level cap may still report a tiny
+        # error estimate; the gate must count it as not converged
+        real = otbayes.transport.tanhsinh
+
+        def capped(*args, **kwargs):
+            res = real(*args, **kwargs)
+            success = np.ones_like(res.success)
+            success[failed_tail] = False
+            return SimpleNamespace(integral=res.integral, error=np.full_like(res.error, 1e-15),
+                                   success=success)
+
+        monkeypatch.setattr(otbayes.transport, "tanhsinh", capped)
+        with pytest.raises(QuadratureError, match="tolerance not reached"):
+            wp_univariate(Normal(0.0, 1.0), Laplace(0.5, 2.0))
 
     def test_monotone_map_cost_equals_distance(self):
         # transporting src by the monotone map realizes the distance
