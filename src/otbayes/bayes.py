@@ -33,6 +33,7 @@ from .linalg import sqrtm_psd
 from .measures import (
     Generator,
     LocationScatterModel,
+    Normal,
     cosine_kernel_roots,
     cosine_kernel_whitening,
     experiment_covariance,
@@ -312,25 +313,58 @@ class _TransformedTarget:
 
     The cosine-kernel covariance ``Sigma = eps I + sigma B B^T`` (B is
     q x 2, see ``experiment_covariance``) is whitened in closed form,
-    with no q x q eigendecomposition: ``z = eps^{-1/2} (x - b) + ((x - b)
-    U) diag(h) U^T`` with ``U = B V`` from the 2 x 2 eigenpairs ``B^T B =
-    V diag(lam) V^T`` and ``h = -sigma / (sqrt(eps) sqrt(eps + sigma lam)
-    (sqrt(eps) + sqrt(eps + sigma lam)))``; half the log-determinant is
-    ``(q - 2)/2 log eps + 1/2 sum log(eps + sigma lam)``. A covariance
-    counts as not PD when its smallest eigenvalue (eps for q > 2) is at
-    most ``q 2^-52`` times its largest, where a double-precision ``eigh``
-    cannot tell it from 0. A fixed covariance is whitened once, by
-    ``eigh``.
+    with no q x q eigendecomposition: ``W = Sigma^{-1/2} = scale I + U
+    diag(h) U^T`` with ``U = B V`` from the 2 x 2 eigenpairs ``B^T B = V
+    diag(lam) V^T`` (see ``cosine_kernel_whitening``); half the
+    log-determinant is ``(q - 2)/2 log eps + 1/2 sum log(eps + sigma
+    lam)``. A covariance counts as not PD when its smallest eigenvalue
+    (eps for q > 2) is at most ``q 2^-52`` times its largest, where a
+    double-precision ``eigh`` cannot tell it from 0. A fixed covariance
+    is whitened once, by ``eigh``.
+
+    The data are stored once, centred and coordinate-major: the mean
+    ``xbar``, ``Xc = (X - xbar)^T`` (q x n, each row contiguous) and the
+    scatter ``S = Xc Xc^T``. With ``d = xbar - b``, an observation
+    whitens to ``W Xc + W d``. A normal coordinate j with location l and
+    scale s then sums over the n observations, with w_j row j of W and
+    ``c = w_j . d - l``, to
+
+        -[w_j^T S w_j + c (2 w_j . t + n c)] / (2 s^2) - n (log(2 pi)/2 + log s),
+
+    with no pass over the observations. ``t``, the row sums of Xc, would
+    be 0 but for the rounding of xbar; that term keeps the sum as exact
+    as the per-observation one when the data sit far from the origin.
+    Nothing else cancels, because the data are centred. The other
+    coordinates R are whitened per state as ``scale Xc[R] + [(U h)_R |
+    (W d)_R] [U^T Xc ; 1]``, one (|R| x 3)(3 x n) product, and summed by
+    ``Generator.total_log_density`` in blocks of at most about 2^16
+    doubles.
     """
 
     def __init__(self, prior: ParamPrior, data: Dataset, gen: Generator):
         self.prior = prior
         self.data = data
         self.gen = gen
-        self.q = prior.dimension
+        self.q = q = prior.dimension
         self.has_cov_params = prior.fixed_covariance is None
-        if not self.has_cov_params:
-            self._fixed = _whitening(prior.fixed_covariance[None])
+        obs = data.observations
+        self._mean = obs.mean(axis=0) if data.n else np.zeros(q)
+        xc = np.ascontiguousarray((obs - self._mean).T)
+        # [S | t]: the scatter and the row sums of Xc
+        self._moments = np.column_stack([xc @ xc.T, xc.sum(axis=1)])
+        normal = np.array([isinstance(c, Normal) for c in gen.coordinates])
+        self._gauss, self._rest = np.flatnonzero(normal), np.flatnonzero(~normal)
+        self._loc = np.array([gen.coordinates[j].loc for j in self._gauss])
+        self._scale = np.array([gen.coordinates[j].scale for j in self._gauss])
+        self._gauss_const = -data.n * np.sum(0.5 * _LOG_2PI + np.log(self._scale))
+        self._rest_gen = Generator([gen.coordinates[j] for j in self._rest]) if self._rest.size else None
+        if self.has_cov_params:
+            self._xc_rest = np.ascontiguousarray(xc[self._rest])
+            self._xc1 = np.vstack([xc, np.ones(data.n)])
+        else:
+            pd, whiten, log_det_a = _whitening(prior.fixed_covariance[None])
+            # z = (x - b) @ whiten: coordinate j is whitened by row j of whiten^T
+            self._fixed = (pd[0], whiten[0].T, log_det_a[0], whiten[0].T[self._rest] @ xc)
 
     def to_theta(self, phi: np.ndarray) -> np.ndarray:
         if not self.has_cov_params:
@@ -345,8 +379,7 @@ class _TransformedTarget:
 
     def log_likelihoods(self, thetas: np.ndarray) -> np.ndarray:
         """Log-likelihood of each row of an (m, n_params) stack."""
-        q, obs = self.q, self.data.observations
-        n = obs.shape[0]
+        q, n = self.q, self.data.n
         out = np.full(thetas.shape[0], -math.inf)
         if n == 0:
             return np.zeros_like(out)
@@ -356,23 +389,35 @@ class _TransformedTarget:
             ok, scale, u, h, log_det_a = cosine_kernel_whitening(
                 q, eps[live], sigma[live], 1.0 / omega_inv[live])
             live, scale, u, log_det_a = live[ok], scale[ok], u[ok], log_det_a[ok]
-            uh_t = np.swapaxes(u * h[ok, None, :], 1, 2)
+            uh, u_t = u * h[ok, None, :], np.swapaxes(u, 1, 2)
+            w = uh @ u_t
+            w.reshape(-1, q * q)[:, ::q + 1] += scale[:, None]  # the diagonals
         else:
-            pd, whiten, log_det_a = self._fixed
-            live = np.arange(thetas.shape[0] if pd[0] else 0)
-            whiten = np.broadcast_to(whiten, (live.size, q, q))
-            log_det_a = np.broadcast_to(log_det_a, live.shape)
-        step = max(1, _BLOCK_DOUBLES // (n * q))
-        for lo in range(0, live.size, step):
-            rows, blk = live[lo:lo + step], slice(lo, lo + step)
-            z = obs - thetas[rows, None, :q]
+            pd, w, log_det_a, w_xc = self._fixed
+            live = np.arange(thetas.shape[0] if pd else 0)
+        # row j of w whitens coordinate j: z = w Xc + shift
+        shift = (w @ (self._mean - thetas[live, :q])[..., None])[..., 0]
+        w_g = w[..., self._gauss, :]
+        moments = w_g @ self._moments
+        c = shift[:, self._gauss] - self._loc
+        quad = np.sum(moments[..., :q] * w_g, axis=-1) + c * (2.0 * moments[..., q] + n * c)
+        total = self._gauss_const - n * log_det_a - 0.5 * np.sum(quad / self._scale**2, axis=1)
+        if self._rest_gen is not None:
+            shift = shift[:, self._rest, None]
             if self.has_cov_params:
-                # scale I plus a rank-2 correction: no (n, q) @ (q, q) product
-                z = z * scale[blk, None, None] + (z @ u[blk]) @ uh_t[blk]
-            else:
-                z = z @ whiten[blk]
-            log_f = self.gen.log_density(z.reshape(-1, q)).reshape(rows.size, n)
-            out[rows] = np.sum(log_f, axis=1) - n * log_det_a[blk]
+                coef = np.concatenate([uh[:, self._rest], shift], axis=2)
+                lift = np.zeros((live.size, 3, q + 1))
+                lift[:, :2, :q], lift[:, 2, q] = u_t, 1.0
+            step = max(1, _BLOCK_DOUBLES // (n * self._rest.size))
+            for lo in range(0, live.size, step):
+                blk = slice(lo, lo + step)
+                if self.has_cov_params:
+                    z = coef[blk] @ (lift[blk] @ self._xc1)
+                    z += scale[blk, None, None] * self._xc_rest
+                else:
+                    z = w_xc + shift[blk]
+                total[blk] += self._rest_gen.total_log_density(z)
+        out[live] = total
         out[~np.isfinite(out)] = -math.inf
         return out
 
@@ -659,9 +704,10 @@ def posterior_models(chain: PosteriorChain, gen: Generator,
 
     Every scatter root is taken in one pass: the closed form of
     ``cosine_kernel_roots`` for the cosine-kernel prior, one shared
-    ``sqrtm_psd`` for a fixed covariance. Draws out of the parameter
-    domain, or whose model the constructor rejects, are dropped with a
-    warning that counts them.
+    ``sqrtm_psd`` for a fixed covariance. The roots are validated as one
+    stack, by the constructor's rules. Draws out of the parameter domain,
+    or whose root fails those rules, are dropped with a warning that
+    counts them.
     """
     if len(chain) == 0:
         raise ValueError("chain is empty")
@@ -684,13 +730,7 @@ def posterior_models(chain: PosteriorChain, gen: Generator,
             roots[:] = sqrtm_psd(prior.fixed_covariance)
         except (MatrixNotPDError, ValueError):
             pass
-    models = []
-    ok = np.isfinite(roots).all(axis=(1, 2))
-    for theta, root in zip(draws[ok], roots[ok]):
-        try:
-            models.append(LocationScatterModel(gen, theta[:q], root))
-        except (MatrixNotPDError, ValueError):
-            pass
+    models = LocationScatterModel._from_stack(gen, draws[:, :q], roots)
     rejected = len(draws) - len(models)
     if rejected:
         warnings.warn(f"{rejected} draws produced non-PD covariances and were dropped",

@@ -701,16 +701,19 @@ class Generator:
                 key.append((c.family, id(c)))
                 others.append(j)
         self._key = tuple(key)
-        # log_density scores each location-scale family with one _logpdf0
-        # call on a contiguous gather of its columns: (shape member, cols,
-        # loc, scale, sum of log scales), loc and scale None when standard
+        # each location-scale family is scored by one _logpdf0 call on its
+        # coordinates, a slice when they are contiguous: (shape member,
+        # index, loc, scale, sum of log scales), loc and scale None when
+        # standard
         families = []
         for cols in members.values():
             cs = [self.coordinates[j] for j in cols]
             loc = np.array([c.loc for c in cs])
             scale = np.array([c.scale for c in cs])
             standard = not np.any(loc) and np.all(scale == 1.0)
-            families.append((cs[0], np.array(cols), None if standard else loc,
+            index = (slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1
+                     else np.array(cols))
+            families.append((cs[0], index, None if standard else loc,
                              None if standard else scale, float(np.sum(np.log(scale)))))
         self._families = tuple(families)
         self._others = tuple(others)
@@ -722,16 +725,35 @@ class Generator:
     def spec_key(self):
         return self._key
 
+    def _family_log_pdfs(self, x: np.ndarray):
+        """``(log_f, log_scale)`` for each family of x's coordinates, which
+        run along axis 1: ``log_f`` keeps that axis and ``log_scale`` is
+        still to be subtracted once per point."""
+        tail = (1,) * (x.ndim - 2)
+        for shape, cols, loc, scale, log_scale in self._families:
+            # each coordinate contiguous: rows of a stack are read in
+            # place, columns of row-major points gathered column-major
+            z = x[:, cols] if x.ndim > 2 else np.asfortranarray(x[:, cols])
+            if loc is not None:
+                z = (z - loc.reshape(-1, *tail)) / scale.reshape(-1, *tail)
+            yield shape._logpdf0(z), log_scale
+        for j in self._others:
+            yield self.coordinates[j].log_pdf(x[:, j:j + 1]), 0.0
+
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape[0])
-        for shape, cols, loc, scale, log_scale in self._families:
-            z = x[:, cols]
-            if loc is not None:
-                z = (z - loc) / scale
-            out += np.sum(shape._logpdf0(z), axis=1) - log_scale
-        for j in self._others:
-            out += self.coordinates[j].log_pdf(x[:, j])
+        for log_f, log_scale in self._family_log_pdfs(x):
+            out += np.sum(log_f, axis=1) - log_scale
+        return out
+
+    def total_log_density(self, x: np.ndarray) -> np.ndarray:
+        """Log-density summed over each state's points: x is an (m, q, n)
+        stack of n points per state, coordinates along axis 1; (m,)."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[0])
+        for log_f, log_scale in self._family_log_pdfs(x):
+            out += np.sum(log_f, axis=(1, 2)) - x.shape[2] * log_scale
         return out
 
     def density(self, x: np.ndarray) -> np.ndarray:
@@ -817,6 +839,30 @@ class LocationScatterModel:
         self.location = location
         self.scatter = 0.5 * (scatter + scatter.T)
         self.scatter_sq = self.scatter @ self.scatter
+
+    @classmethod
+    def _from_stack(cls, generator: Generator, locations, scatters):
+        """Models for the rows of (k, q) locations and (k, q, q) scatters
+        that pass the constructor's checks, in order.
+
+        The checks run once over the stack: finite, symmetric within
+        1e-10 and positive definite. The models are built from one
+        stacked ``scatter @ scatter``, without checking them again.
+        """
+        ok = np.isfinite(scatters).all(axis=(1, 2))
+        scatters = np.where(ok[:, None, None], scatters, np.eye(generator.dimension))
+        flipped = np.swapaxes(scatters, 1, 2)
+        ok &= np.all(np.abs(scatters - flipped) <= 1e-10, axis=(1, 2))
+        sym = 0.5 * (scatters + flipped)
+        ok &= np.linalg.eigvalsh(sym)[:, 0] > 0.0
+        sym = sym[ok]
+        models = []
+        for location, scatter, scatter_sq in zip(locations[ok], sym, sym @ sym):
+            model = object.__new__(cls)
+            model.generator, model.location = generator, location
+            model.scatter, model.scatter_sq = scatter, scatter_sq
+            models.append(model)
+        return models
 
     @property
     def dimension(self) -> int:
@@ -945,15 +991,26 @@ def cosine_kernel_whitening(q: int, eps, sigma, omega):
     q > 2: ``eps <= q 2^-52 (eps + sigma lam_max)``); below that a
     double-precision ``eigh`` of Sigma cannot tell it from 0. Rows that
     are not ok hold finite stand-ins. eps and sigma must be positive.
+
+    For q <= 2, u spans the whole space, and ``eps^{-1/2} I`` and the
+    correction would nearly cancel when sigma >> eps. There scale is 0,
+    u holds the unit eigenvectors and ``h = (eps + sigma lam)^{-1/2}``.
     """
     eps, sigma, omega = (np.asarray(v, dtype=float) for v in (eps, sigma, omega))
     with np.errstate(invalid="ignore", over="ignore"):
-        u, _, e, low = _cosine_kernel_spectrum(q, eps, sigma, omega)
+        u, lam, e, low = _cosine_kernel_spectrum(q, eps, sigma, omega)
         ok = np.isfinite(e).all(axis=1) & (low > q * 2.0**-52 * e[:, 0])
     eps, sigma = np.where(ok, eps, 1.0), np.where(ok, sigma, 1.0)
     e = np.where(ok[:, None], e, 1.0)
     u = np.where(ok[:, None, None], u, 0.0)
     root_eps, root_e = np.sqrt(eps)[:, None], np.sqrt(e)
+    if q <= 2:
+        # lam[:, 0] >= q / 2; the second eigenvector is the first turned
+        # by 90 degrees (q = 2) or absent (q = 1), whatever lam[:, 1] is
+        top = u[:, :, 0] / np.sqrt(np.where(ok, lam[:, 0], 1.0))[:, None]
+        side = np.stack([-top[:, 1], top[:, 0]], -1) if q == 2 else np.zeros_like(top)
+        return (ok, np.zeros_like(eps), np.stack([top, side], -1), 1.0 / root_e,
+                0.5 * np.sum(np.log(e[:, :q]), axis=1))
     h = -sigma[:, None] / (root_eps * root_e * (root_eps + root_e))
     half_log_det = 0.5 * ((q - 2) * np.log(eps) + np.sum(np.log(e), axis=1))
     return ok, 1.0 / root_eps[:, 0], u, h, half_log_det

@@ -2,6 +2,7 @@
 against conjugate oracles, vertical averages, estimator assembly."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,14 +15,18 @@ from otbayes import (
     BwbConfig,
     Dataset,
     Generator,
+    GridQuantile,
+    GridUnivariate,
     Laplace,
     LocationScatterModel,
+    MatrixNotPDError,
     McmcConfig,
     ModelDistribution,
     Normal,
     ParamPrior,
     PosteriorChain,
     StopRule,
+    StudentT,
     bwb_estimator,
     exponential_model_average,
     experiment_covariance,
@@ -44,7 +49,7 @@ from otbayes.bayes import (
 )
 from otbayes.experiments import ExperimentConfig
 from otbayes.linalg import sqrtm_psd
-from otbayes.measures import cosine_kernel_roots, cosine_kernel_whitening
+from otbayes.measures import _kernel_grid, cosine_kernel_roots, cosine_kernel_whitening
 
 
 def _quiet_chain(*args, **kwargs):
@@ -731,11 +736,13 @@ class TestCosineKernelClosedForm:
         (15, 8.19511049061251e-06, 20.62497781462973, 815.683728650184),
         (3, 6.833447065029255e-06, 299.26356449179895, 76.91301563420451),
         (15, 2e-5, 50.0, 1e-4),
+        (2, 6.7e-6, 735.0, 3.0),
+        (1, 6.7e-6, 735.0, 1.0),
     ])
     def test_against_a_50_digit_reference(self, q, eps, sigma, omega):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
-        s = (np.arange(q) / (q - 1)) ** 1.1
+        s = _kernel_grid(q)
         cov = mp.matrix(q, q)
         for i in range(q):
             for j in range(q):
@@ -747,7 +754,9 @@ class TestCosineKernelClosedForm:
         ok, whiten, half_log_det, root = _closed_form(q, eps, sigma, omega)
         ref_whiten, ref_root = (np.array(m.tolist(), dtype=float) for m in (ref_whiten, ref_root))
         assert ok
-        assert np.max(np.abs(whiten - ref_whiten)) <= 1e-12 * np.max(np.abs(ref_whiten))
+        # for q <= 2 the whitening is taken from the eigenvalues directly
+        tol = 1e-14 if q <= 2 else 1e-12
+        assert np.max(np.abs(whiten - ref_whiten)) <= tol * np.max(np.abs(ref_whiten))
         assert np.max(np.abs(root - ref_root)) <= 1e-12 * np.max(np.abs(ref_root))
         assert half_log_det == pytest.approx(float(sum(mp.log(v) for v in vals) / 2), rel=1e-13)
 
@@ -819,6 +828,43 @@ class TestPosteriorModelRoots:
             assert np.max(np.abs(m.scatter - ref)) <= 1e-11 * np.max(np.abs(ref))
             assert np.array_equal(m.location, theta[:q])
 
+    def test_models_equal_the_public_constructor(self):
+        q = 15
+        prior, gen = ParamPrior(q), Generator.mixed_experiment(q)
+        rng = np.random.default_rng(2)
+        draws = np.array([prior.sample(rng) for _ in range(50)])
+        roots = cosine_kernel_roots(q, draws[:, q], draws[:, q + 1], 1.0 / draws[:, q + 2])
+        got = posterior_models(self._chain(draws), gen, prior).support
+        want = [LocationScatterModel(gen, theta[:q], root) for theta, root in zip(draws, roots)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is LocationScatterModel and g.generator is gen
+            assert np.array_equal(g.location, w.location)
+            assert np.array_equal(g.scatter, w.scatter)
+            assert np.array_equal(g.scatter_sq, w.scatter_sq)
+
+    def test_roots_the_constructor_rejects_are_dropped(self, monkeypatch):
+        q = 3
+        prior, gen = ParamPrior(q), Generator.standard_normal(q)
+        draws = np.array([prior.sample(np.random.default_rng(i)) for i in range(5)])
+        roots = cosine_kernel_roots(q, draws[:, q], draws[:, q + 1], 1.0 / draws[:, q + 2])
+        roots[1, 0, 2] += 1e-9  # asymmetric beyond the constructor's 1e-10
+        roots[2, 0, 2] += 1e-11  # asymmetric within it
+        roots[3] *= -1.0  # symmetric, not PD
+        with pytest.raises(ValueError, match="symmetric"):
+            LocationScatterModel(gen, draws[1, :q], roots[1])
+        with pytest.raises(MatrixNotPDError):
+            LocationScatterModel(gen, draws[3, :q], roots[3])
+        monkeypatch.setattr(otbayes.bayes, "cosine_kernel_roots", lambda *args: roots.copy())
+        with pytest.warns(RuntimeWarning, match="^2 draws produced non-PD"):
+            got = posterior_models(self._chain(draws), gen, prior).support
+        assert len(got) == 3
+        for g, i in zip(got, (0, 2, 4)):
+            want = LocationScatterModel(gen, draws[i, :q], roots[i])
+            assert np.array_equal(g.location, want.location)
+            assert np.array_equal(g.scatter, want.scatter)
+            assert np.array_equal(g.scatter_sq, want.scatter_sq)
+
     def test_out_of_domain_draws_are_dropped_and_counted(self):
         q = 3
         prior = ParamPrior(q)
@@ -829,3 +875,117 @@ class TestPosteriorModelRoots:
         with pytest.warns(RuntimeWarning, match="^3 draws produced non-PD"):
             dist = posterior_models(self._chain(draws), Generator.standard_normal(q), prior)
         assert len(dist.support) == 3
+
+
+# ---------------------------------------------------------------------------
+# The coordinate-major likelihood
+# ---------------------------------------------------------------------------
+
+
+def _row_major_log_likelihoods(target, thetas):
+    """``(log-likelihoods, magnitudes)`` with each state whitening x - b
+    for every observation, row-major, and ``Generator.log_density``
+    scoring the rows, as the likelihood was computed before it went
+    coordinate-major. A magnitude sums the absolute values of a row's
+    terms: the scale of its rounding error."""
+    q, obs = target.q, target.data.observations
+    n = obs.shape[0]
+    out, magnitude = np.full(thetas.shape[0], -math.inf), np.zeros(thetas.shape[0])
+    if target.has_cov_params:
+        eps, sigma, omega_inv = thetas[:, q:].T
+        live = np.flatnonzero((eps > 0.0) & (sigma > 0.0))
+        ok, scale, u, h, log_det_a = cosine_kernel_whitening(
+            q, eps[live], sigma[live], 1.0 / omega_inv[live])
+        live, scale, u, log_det_a = live[ok], scale[ok], u[ok], log_det_a[ok]
+        uh_t = np.swapaxes(u * h[ok, None, :], 1, 2)
+    else:
+        pd, whiten, log_det_a = _eigh_whitening(target.prior.fixed_covariance[None])
+        live = np.arange(thetas.shape[0] if pd[0] else 0)
+        log_det_a = np.broadcast_to(log_det_a, live.shape)
+    for i, row in enumerate(live):
+        z = obs - thetas[row, :q]
+        if target.has_cov_params:
+            z = z * scale[i] + (z @ u[i]) @ uh_t[i]
+        else:
+            z = z @ whiten[0]
+        log_f = target.gen.log_density(z)
+        out[row] = np.sum(log_f) - n * log_det_a[i]
+        magnitude[row] = np.sum(np.abs(log_f)) + n * abs(log_det_a[i])
+    out[~np.isfinite(out)] = -math.inf
+    return out, magnitude
+
+
+_NORMAL_GRID = GridUnivariate(GridQuantile(np.linspace(0.01, 0.99, 21),
+                                           stats.norm.ppf(np.linspace(0.01, 0.99, 21))))
+_GENERATORS = {
+    "mixed": Generator.mixed_experiment(15),
+    "standard_normal": Generator.standard_normal(4),
+    "heavy": Generator([Laplace(), StudentT(3.0), Laplace(0.5, 2.0), StudentT(5.0)]),
+    "shifted_normal": Generator([Normal(1.5, 0.5), Laplace(), Normal(-2.0, 3.0)]),
+    "grid": Generator([Normal(), _NORMAL_GRID, Laplace()]),
+    "interleaved": Generator([Laplace(), Normal(), StudentT(3.0), Normal(), Laplace(),
+                              StudentT(3.0)]),
+}
+
+
+class TestCoordinateMajorLikelihood:
+    # generators with no non-normal coordinate, no normal one, normal
+    # coordinates off the standard member, a grid coordinate and
+    # interleaved families; data up to 1e3 from the origin
+    @given(
+        name=st.sampled_from(sorted(_GENERATORS)),
+        fixed=st.booleans(),
+        n=st.sampled_from([1, 2, 10, 5000]),
+        offset=st.floats(-1e3, 1e3),
+        kinds=st.lists(st.sampled_from(["finite"] * 3 + [*_BAD_TAILS]), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(name="mixed", fixed=False, n=5000, offset=1e3,
+             kinds=["finite", "not_pd", "finite", "underflow", "overflow"], seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_row_major_formula(self, name, fixed, n, offset, kinds, seed):
+        gen = _GENERATORS[name]
+        q = gen.dimension
+        rng = np.random.default_rng(seed)
+        cov = experiment_covariance(q, 0.1, 1.0, 2.0)
+        prior = ParamPrior(q, fixed_covariance=cov if fixed else None)
+        truth = make_ls_model(gen, offset + rng.normal(size=q), cov)
+        target = _TransformedTarget(prior, Dataset(truth.sample(n, rng)), gen)
+        rows = []
+        for kind in kinds:
+            b = truth.location + 0.3 * rng.normal(size=q)
+            if fixed:
+                rows.append(b)
+            elif kind == "finite":
+                rows.append(np.concatenate([b, np.exp(np.log([0.1, 1.0, 0.5]) + 0.5 * rng.normal(size=3))]))
+            else:
+                with np.errstate(over="ignore"):
+                    rows.append(np.concatenate([b, np.exp(_BAD_TAILS[kind])]))
+        thetas = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = target.log_likelihoods(thetas)
+            want, magnitude = _row_major_log_likelihoods(target, thetas)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(got[~finite] == -math.inf)
+        assert np.array_equal(finite, [fixed or k == "finite" for k in kinds])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * magnitude[finite])
+
+    def test_workspace_stays_near_one_block(self):
+        # 38 states at n = 5000 on the q = 15 experiment generator: all at
+        # once, its 10 non-normal coordinates would take 29 blocks (15 MB)
+        cfg = ExperimentConfig()
+        gen, prior = cfg.generator(), cfg.prior()
+        data = Dataset(cfg.true_model().sample(5000, np.random.default_rng(0)))
+        target = _TransformedTarget(prior, data, gen)
+        rng = np.random.default_rng(1)
+        phis = target.from_theta(np.array([prior.sample(rng) for _ in range(38)]))
+        phis[:, :gen.dimension] = data.observations.mean(axis=0)
+        assert np.all(np.isfinite(target.log_densities(phis)))
+        tracemalloc.start()
+        try:
+            target.log_densities(phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * _BLOCK_DOUBLES

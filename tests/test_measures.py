@@ -293,6 +293,12 @@ class TestGeneratorStandardization:
         assert np.all(got[~finite] == -math.inf)
         assert not finite[0]
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+        # the same families over (m, q, n) stacks, points along the last axis
+        with np.errstate(divide="ignore"):
+            totals = gen.total_log_density(np.stack([x.T, np.abs(x).T]))
+            want_abs = sum(c.log_pdf(np.abs(x[:, j])) for j, c in enumerate(gen.coordinates))
+        assert totals[0] == -math.inf
+        assert totals[1] == pytest.approx(np.sum(want_abs), rel=1e-13)
 
 
 class TestSerialization:
