@@ -1,4 +1,4 @@
-"""Bayesian layer: priors over scatter-location parameters, random-walk
+"""Bayesian layer: priors over scatter-location parameters, ensemble
 Metropolis posterior sampling, classical model averages and the
 transport-barycenter estimator assembled on top of them.
 
@@ -177,13 +177,11 @@ class Dataset:
 
 @dataclass
 class PosteriorChain:
-    """Post burn-in, thinned Metropolis draws with their log-posteriors."""
+    """Post burn-in, thinned ensemble draws with their log-posteriors."""
 
     draws: np.ndarray
     log_posterior: np.ndarray
     acceptance_rate: float
-    burn_in: int
-    thin: int
 
     def __post_init__(self):
         self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
@@ -205,9 +203,9 @@ class PosteriorChain:
                 fh.write(",".join(vals) + "\n")
 
     @classmethod
-    def from_csv(cls, path, burn_in=0, thin=1, acceptance_rate=0.5):
+    def from_csv(cls, path, acceptance_rate=0.5):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, :-1], data[:, -1], acceptance_rate, burn_in, thin)
+        return cls(data[:, :-1], data[:, -1], acceptance_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def log_likelihood(theta: np.ndarray, data: Dataset, gen: Generator,
 
 
 # ---------------------------------------------------------------------------
-# Random-walk Metropolis
+# Ensemble Metropolis sampler
 # ---------------------------------------------------------------------------
 
 
@@ -260,32 +258,29 @@ def log_likelihood(theta: np.ndarray, data: Dataset, gen: Generator,
 class McmcConfig:
     """Posterior-sampler settings.
 
-    Two Metropolis engines share the transformed target (positivity
-    coordinates proposed in log space with the Jacobian folded in):
+    The sampler runs affine-invariant stretch moves (Goodman and Weare
+    2010) over a walker ensemble on the transformed target (positivity
+    coordinates proposed in log space with the Jacobian folded in), which
+    traverses the soft scale ridges of the cosine-kernel posterior
+    without tuning. ``burn_sweeps`` and ``thin_sweeps`` count
+    whole-ensemble updates. After ``2 adapt_window`` sweeps, every third
+    sweep is an independence move against a Gaussian fitted to the other
+    half of the ensemble. Each half-sweep's proposals are scored as one
+    batch, whose whitened-data workspace is bounded (about 2^16 doubles)
+    whatever n and the walker count.
 
-    ``algorithm='ensemble'`` (default) runs affine-invariant stretch
-    moves over a walker ensemble, which traverses the soft scale ridges
-    of the cosine-kernel posterior without tuning; ``burn_sweeps`` and
-    ``thin_sweeps`` count whole-ensemble updates. Each half-sweep's
-    proposals are scored as one batch, whose whitened-data workspace is
-    bounded (about 2^16 doubles) whatever n and the walker count.
-
-    ``algorithm='rwm'`` is a single-chain random walk whose global factor
-    chases ``target_accept`` during ``burn_in`` steps while the proposal
-    covariance adapts over the growing history; ``thin`` counts steps.
-
-    ``init='search'`` starts from the best of a candidate set (prior
-    draws with the location block at the sample mean, plus a frequency
-    scan of the covariance kernel); ``'prior'`` starts from a plain prior
-    draw. ``init_rank`` rotates the start among near-best candidates.
+    ``init='search'`` starts the walkers from the best of a candidate set
+    (prior draws with the location block at the sample mean, plus a
+    frequency scan of the covariance kernel); ``init_rank`` rotates the
+    starts among near-best candidates, and ``proposal_scale_b`` and
+    ``proposal_scale_log`` set the jitter around them. ``'prior'`` starts
+    every walker from a plain prior draw, as does an empty dataset, and
+    reads neither scale. An acceptance rate outside ``warn_accept_range``
+    is warned about.
     """
 
-    algorithm: str = "ensemble"
-    burn_in: int = 1000
-    thin: int = 10
     proposal_scale_b: float = 0.2
     proposal_scale_log: float = 0.2
-    target_accept: float = 0.3
     adapt_window: int = 50
     warn_accept_range: tuple = (0.05, 0.8)
     init: str = "search"
@@ -294,13 +289,6 @@ class McmcConfig:
     stretch_a: float = 2.0
     burn_sweeps: int = 200
     thin_sweeps: int = 3
-
-
-def metropolis_accept(rng: np.random.Generator, log_ratio: float) -> bool:
-    """Symmetric-proposal acceptance: accept with prob min(1, exp(log_ratio))."""
-    if log_ratio >= 0.0:
-        return True
-    return math.log(rng.uniform(1e-300, 1.0)) < log_ratio
 
 
 class _TransformedTarget:
@@ -486,14 +474,6 @@ def _basin_candidates(target: _TransformedTarget, rng: np.random.Generator) -> l
     return [phis[int(i)] for i in order if scores[i] >= scores[order[0]] - 20.0]
 
 
-def _initial_state(target: _TransformedTarget, rng: np.random.Generator,
-                   mode: str, rank: int = 0) -> np.ndarray:
-    if mode == "prior" or target.data.n == 0:
-        return target.from_theta(target.prior.sample(rng))
-    eligible = _basin_candidates(target, rng)
-    return eligible[max(rank, 0) % len(eligible)]
-
-
 def _walker_seeds(target: _TransformedTarget, rng: np.random.Generator,
                   mcmc: McmcConfig, n: int) -> np.ndarray:
     """Overdispersed within-basin start states for an ensemble."""
@@ -595,8 +575,9 @@ def metropolis_sample(
     rng: Optional[np.random.Generator] = None,
     gen: Optional[Generator] = None,
 ) -> PosteriorChain:
-    """k approximately independent posterior draws via ensemble or
-    random-walk Metropolis, with burn-in and thinning.
+    """k approximately independent posterior draws from the ensemble
+    sampler, after ``mcmc.burn_sweeps`` sweeps and thinned to every
+    ``mcmc.thin_sweeps``-th sweep.
 
     An acceptance rate outside ``mcmc.warn_accept_range`` triggers a
     diagnostic warning, not a failure.
@@ -610,92 +591,13 @@ def metropolis_sample(
         raise ValueError("proposal scales must be positive")
 
     target = _TransformedTarget(prior, data, gen)
-
-    if mcmc.algorithm == "ensemble":
-        draws_phi, logps, rate = _ensemble_sample(target, k, mcmc, rng)
-        draws = target.to_theta(draws_phi)
-        lo, hi = mcmc.warn_accept_range
-        if not lo <= rate <= hi:
-            warnings.warn(f"ensemble acceptance rate {rate:.3f} outside [{lo}, {hi}]",
-                          RuntimeWarning, stacklevel=2)
-        rate = min(max(rate, 1e-12), 1.0 - 1e-12)
-        return PosteriorChain(draws, logps, rate, mcmc.burn_sweeps, mcmc.thin_sweeps)
-    if mcmc.algorithm != "rwm":
-        raise ValueError(f"unknown algorithm {mcmc.algorithm!r}")
-
-    phi = _initial_state(target, rng, mcmc.init, mcmc.init_rank)
-    lp = target.log_density(phi)
-    if not math.isfinite(lp):
-        phi = target.from_theta(prior.sample(rng))
-        lp = target.log_density(phi)
-
-    q = prior.dimension
-    dim = phi.size
-    scales = np.full(dim, mcmc.proposal_scale_b)
-    if dim > q:
-        scales[q:] = mcmc.proposal_scale_log
-    chol = np.diag(scales)
-    factor = 2.38 / math.sqrt(dim)
-
-    total_steps = mcmc.burn_in + k * mcmc.thin
-    draws = np.empty((k, dim))
-    logps = np.empty(k)
-    history = np.empty((total_steps, dim))
-    accepted = 0
-    window_accepted = 0
-    kept = 0
-    overflow_warnings = 0
-
-    for step in range(1, total_steps + 1):
-        # mixture proposal: full-covariance adaptive part plus a small
-        # fixed-scale component that keeps exploring directions the
-        # estimated covariance has not discovered yet
-        if rng.uniform() < 0.05:
-            proposal = phi + scales * rng.normal(size=dim)
-        else:
-            proposal = phi + factor * (chol @ rng.normal(size=dim))
-        with np.errstate(over="ignore", invalid="ignore"):
-            lp_new = target.log_density(proposal)
-        if not math.isfinite(lp_new) and lp_new != -math.inf:
-            overflow_warnings += 1
-            lp_new = -math.inf
-        if metropolis_accept(rng, lp_new - lp):
-            phi, lp = proposal, lp_new
-            accepted += 1
-            window_accepted += 1
-        history[step - 1] = phi
-        in_burn = step <= mcmc.burn_in
-        if in_burn and step % mcmc.adapt_window == 0:
-            rate = window_accepted / mcmc.adapt_window
-            factor *= math.exp(1.5 * (rate - mcmc.target_accept))
-            factor = min(max(factor, 1e-4), 1e2)
-            window_accepted = 0
-        # diminishing covariance adaptation over the growing history:
-        # the posterior has soft ridges (scatter scale against heavy-tail
-        # coordinates) that axis-aligned or early-frozen proposals miss
-        if step >= 4 * mcmc.adapt_window and step % mcmc.adapt_window == 0:
-            recent = history[step // 2:step]
-            cov = np.cov(recent.T) + 1e-10 * np.eye(dim)
-            if np.all(np.isfinite(cov)):
-                try:
-                    chol = np.linalg.cholesky(cov)
-                except np.linalg.LinAlgError:
-                    pass
-        if not in_burn and (step - mcmc.burn_in) % mcmc.thin == 0:
-            draws[kept] = target.to_theta(phi)
-            logps[kept] = lp
-            kept += 1
-
-    rate = accepted / total_steps
+    draws_phi, logps, rate = _ensemble_sample(target, k, mcmc, rng)
     lo, hi = mcmc.warn_accept_range
     if not lo <= rate <= hi:
-        warnings.warn(f"Metropolis acceptance rate {rate:.3f} outside [{lo}, {hi}]",
-                      RuntimeWarning, stacklevel=2)
-    if overflow_warnings:
-        warnings.warn(f"{overflow_warnings} proposals overflowed and were treated as -inf",
+        warnings.warn(f"ensemble acceptance rate {rate:.3f} outside [{lo}, {hi}]",
                       RuntimeWarning, stacklevel=2)
     rate = min(max(rate, 1e-12), 1.0 - 1e-12)
-    return PosteriorChain(draws[:kept], logps[:kept], rate, mcmc.burn_in, mcmc.thin)
+    return PosteriorChain(target.to_theta(draws_phi), logps, rate)
 
 
 def posterior_models(chain: PosteriorChain, gen: Generator,

@@ -59,6 +59,10 @@ RECORD_COLUMNS = ("experiment", "n", "k", "S", "replication", "metric",
 # ---------------------------------------------------------------------------
 
 
+# fields of the removed random-walk sampler -> the ensemble fields to set
+_REPLACED_FIELDS = {"burn_in": "burn_sweeps", "thin": "thin_sweeps"}
+
+
 @dataclass
 class ExperimentConfig:
     """Harness settings; ``desk`` defaults keep a full run in minutes."""
@@ -73,8 +77,6 @@ class ExperimentConfig:
     replications: int = 10
     seed: int = 123
     # MCMC
-    burn_in: int = 1000
-    thin: int = 10
     burn_sweeps: int = 200
     thin_sweeps: int = 6
     proposal_scale_b: float = 0.2
@@ -107,10 +109,8 @@ class ExperimentConfig:
     def prior(self) -> ParamPrior:
         return ParamPrior(self.dimension)
 
-    def mcmc(self, thin: Optional[int] = None, init_rank: int = 0) -> McmcConfig:
+    def mcmc(self, init_rank: int = 0) -> McmcConfig:
         return McmcConfig(
-            burn_in=self.burn_in,
-            thin=self.thin if thin is None else thin,
             burn_sweeps=self.burn_sweeps,
             thin_sweeps=self.thin_sweeps,
             proposal_scale_b=self.proposal_scale_b,
@@ -127,6 +127,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
+        for old, new in _REPLACED_FIELDS.items():
+            if old in raw:
+                raise ValueError(f"config field {old!r} left with the random-walk sampler; "
+                                 f"set {new!r} (whole-ensemble sweeps) instead")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
@@ -339,40 +343,30 @@ def cell_seed(seed: int, *parts) -> int:
     return int.from_bytes(h[:8], "big") % (2**63)
 
 
-def _posterior_cell(cfg: ExperimentConfig, experiment: str, n: int, k: int, rep: int,
-                    thin: Optional[int] = None):
-    """Chain + posterior models for one cell.
+def _posterior_cell(cfg: ExperimentConfig, experiment: str, n: int, k_max: int, rep: int):
+    """``(rng, m0, models)``: the cell's stream, the true model and the
+    posterior models of one k_max-draw chain per (n, replication).
 
     The dataset is keyed by n alone: replications measure estimator
     variation (chain and descent randomness) around one observed sample,
-    which is what the summary tables are about.
+    which is what the summary tables are about. k-cells take k draws
+    evenly strided over the same chain window (indices from
+    :func:`_strided`), so cell statistics across k compare denser and
+    sparser subsamples of one posterior exploration and their
+    replication spread shrinks with k.
     """
     gen = cfg.generator()
     m0 = cfg.true_model()
     data = Dataset(m0.sample(n, derive_rng(cfg.seed, "data", n)))
-    rng = derive_rng(cfg.seed, experiment, n, k, rep)
+    rng = derive_rng(cfg.seed, experiment, n, k_max, rep)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         # overdispersed starts: replication r opens at the r-th best
         # initializer candidate, so replication spread honestly reflects
         # initialization sensitivity decaying with chain length
-        chain = metropolis_sample(cfg.prior(), data, k,
-                                  cfg.mcmc(thin, init_rank=rep), rng, gen)
+        chain = metropolis_sample(cfg.prior(), data, k_max, cfg.mcmc(init_rank=rep), rng, gen)
         dist = posterior_models(chain, gen, cfg.prior())
-    return rng, gen, m0, dist
-
-
-def _nested_posterior_models(cfg: ExperimentConfig, experiment: str, n: int, rep: int,
-                             k_max: int, thin: Optional[int] = None):
-    """One chain per (n, replication); k-cells sub-thin the draw window.
-
-    Each cell takes k draws evenly strided over the same chain window
-    (indices from :func:`_strided`), so cell statistics across k compare
-    denser and sparser subsamples of one posterior exploration and their
-    replication spread shrinks with k.
-    """
-    rng, gen, m0, dist = _posterior_cell(cfg, experiment, n, k_max, rep, thin)
-    return rng, gen, m0, dist.support
+    return rng, m0, dist.support
 
 
 def _strided(k: int, k_max: int) -> np.ndarray:
@@ -380,11 +374,29 @@ def _strided(k: int, k_max: int) -> np.ndarray:
     return np.floor(np.arange(k) * (k_max / k)).astype(int)
 
 
-def _run_cells(cells, worker, threads: int):
+def _run_cells(cfg: ExperimentConfig, cells, worker, threads: int) -> ExperimentReport:
+    """Run ``worker`` on every cell and collect one sorted report.
+
+    A worker returns ``(records, problems)``. A problem is ``(n, k, rep,
+    what)``: ``what == "nonconverged"`` lists (n, k, rep) among the
+    non-converged cells, anything else (an exception's repr) lists the
+    whole tuple among the failed ones.
+    """
     if threads <= 1:
-        return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
+        results = [worker(c) for c in cells]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, cells))
+    report = ExperimentReport(cfg)
+    for records, problems in results:
+        report.extend(records)
+        for item in problems:
+            if item[-1] == "nonconverged":
+                report.nonconverged_cells.append(item[:3])
+            else:
+                report.failed_cells.append(item)
+    report.sort()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -396,126 +408,93 @@ def _consistency_cell(args):
     cfg, n, rep = args
     t0 = time.perf_counter()
     try:
-        _, _, m0, models = _nested_posterior_models(cfg, "consistency", n, rep,
-                                                    max(cfg.k_grid))
+        _, m0, models = _posterior_cell(cfg, "consistency", n, max(cfg.k_grid), rep)
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
-        return ("failed", (n, None, rep, repr(exc)))
+        return [], [(n, None, rep, repr(exc))]
     d2 = transport.LsCrossTerms(m0, models, np.full(len(models), 1.0 / len(models))).w2_sq()
     wall = 1e3 * (time.perf_counter() - t0)
     recs = [ExperimentRecord("consistency", n, k, None, rep, "W2sq_post_to_truth",
                              float(d2[_strided(k, d2.size)].mean()), wall,
                              cell_seed(cfg.seed, "consistency", n, k, rep))
             for k in cfg.k_grid]
-    return ("ok", recs)
+    return recs, []
 
 
 def run_posterior_consistency(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Average squared distance of the empirical posterior to the truth.
 
     Per-pair distances are closed form (both measures are scatter-
-    location), replacing a sample-based estimate; k-cells are nested
-    prefixes of one chain per (n, replication).
+    location), replacing a sample-based estimate; k-cells are strided
+    subsamples of one chain per (n, replication).
     """
-    report = ExperimentReport(cfg)
     cells = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
-    for status, payload in _run_cells(cells, _consistency_cell, threads):
-        if status == "ok":
-            report.extend(payload)
-        else:
-            report.failed_cells.append(payload)
-    report.sort()
-    return report
+    return _run_cells(cfg, cells, _consistency_cell, threads)
+
+
+def _descent_cell(cfg: ExperimentConfig, experiment: str, n: int, rep: int, measure):
+    """Records and problems of one (n, replication) descent cell.
+
+    For each k, the barycenter of k draws strided over the cell's chain
+    is computed by deterministic descent. It is recorded by its squared
+    distance to the true model and by the ``(metric, value)`` pair that
+    ``measure(model, dist, m0, rng)`` returns. A descent that stops short
+    of its tolerance is listed as non-converged.
+    """
+    t0 = time.perf_counter()
+    try:
+        rng, m0, models = _posterior_cell(cfg, experiment, n, max(cfg.k_grid), rep)
+    except Exception as exc:  # noqa: BLE001
+        return [], [(n, None, rep, repr(exc))]
+    recs = []
+    bad = []
+    for k in cfg.k_grid:
+        seed = cell_seed(cfg.seed, experiment, n, k, rep)
+        dist = ModelDistribution(support=[models[i] for i in _strided(k, len(models))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                model, trace = empirical_barycenter(dist, cfg.descent_gamma, cfg.stop_rule())
+                metric, value = measure(model, dist, m0, rng)
+        except Exception as exc:  # noqa: BLE001
+            bad.append((n, k, rep, repr(exc)))
+            continue
+        wall = 1e3 * (time.perf_counter() - t0)
+        recs.append(ExperimentRecord(experiment, n, k, None, rep, "W2sq_bary_to_truth",
+                                     transport.w2_ls(model, m0) ** 2, wall, seed))
+        recs.append(ExperimentRecord(experiment, n, k, None, rep, metric, value, wall, seed))
+        if not trace.converged:
+            bad.append((n, k, rep, "nonconverged"))
+    return recs, bad
 
 
 def _barycenter_cell(args):
     cfg, n, rep = args
-    t0 = time.perf_counter()
-    try:
-        rng, _, m0, models = _nested_posterior_models(cfg, "barycenter", n, rep,
-                                                      max(cfg.k_grid))
-    except Exception as exc:  # noqa: BLE001
-        return ("failed", (n, None, rep, repr(exc)))
-    recs = []
-    bad = []
-    for k in cfg.k_grid:
-        seed = cell_seed(cfg.seed, "barycenter", n, k, rep)
-        dist = ModelDistribution(support=[models[i] for i in _strided(k, len(models))])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                model, trace = empirical_barycenter(dist, cfg.descent_gamma, cfg.stop_rule())
-                residual = fixed_point_residual(model, dist, rng=rng)
-        except Exception as exc:  # noqa: BLE001
-            bad.append((n, k, rep, repr(exc)))
-            continue
-        wall = 1e3 * (time.perf_counter() - t0)
-        recs.append(ExperimentRecord("barycenter", n, k, None, rep, "W2sq_bary_to_truth",
-                                     transport.w2_ls(model, m0) ** 2, wall, seed))
-        recs.append(ExperimentRecord("barycenter", n, k, None, rep, "residual",
-                                     residual, wall, seed))
-        if not trace.converged:
-            bad.append((n, k, rep, "nonconverged"))
-    return ("ok", recs, bad)
+    return _descent_cell(cfg, "barycenter", n, rep, lambda model, dist, m0, rng: (
+        "residual", fixed_point_residual(model, dist, rng=rng)))
 
 
 def run_barycenter_vs_truth(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Deterministic-descent barycenter error against the true model."""
-    report = ExperimentReport(cfg)
     cells = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
-    for result in _run_cells(cells, _barycenter_cell, threads):
-        if result[0] == "ok":
-            report.extend(result[1])
-            for item in result[2]:
-                if item[-1] == "nonconverged":
-                    report.nonconverged_cells.append(item[:3])
-                else:
-                    report.failed_cells.append(item)
-        else:
-            report.failed_cells.append(result[1])
-    report.sort()
-    return report
+    return _run_cells(cfg, cells, _barycenter_cell, threads)
 
 
 def _compare_cell(args):
     cfg, n, rep = args
-    t0 = time.perf_counter()
-    try:
-        rng, _, m0, models = _nested_posterior_models(cfg, "compare_bma", n, rep,
-                                                      max(cfg.k_grid))
-    except Exception as exc:  # noqa: BLE001
-        return ("failed", (n, None, rep, repr(exc)))
-    recs = []
-    bad = []
-    for k in cfg.k_grid:
-        seed = cell_seed(cfg.seed, "compare_bma", n, k, rep)
-        dist = ModelDistribution(support=[models[i] for i in _strided(k, len(models))])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                model, trace = empirical_barycenter(dist, cfg.descent_gamma, cfg.stop_rule())
-                bma = model_average(dist)
-                cloud_m0 = sample(m0, cfg.ot_samples, rng)
-                cloud_bma = sample(bma, cfg.ot_samples, rng)
-                if cfg.ot_samples > cfg.ot_cap:
-                    warnings.warn("subsampling mixture clouds to the solver cap",
-                                  RuntimeWarning)
-                    idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
-                    cloud_m0 = DiscreteMeasure(cloud_m0.points[np.sort(idx)])
-                    idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
-                    cloud_bma = DiscreteMeasure(cloud_bma.points[np.sort(idx)])
-                _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0,
-                                                 assignment_cap=cfg.ot_cap)
-        except Exception as exc:  # noqa: BLE001
-            bad.append((n, k, rep, repr(exc)))
-            continue
-        wall = 1e3 * (time.perf_counter() - t0)
-        recs.append(ExperimentRecord("compare_bma", n, k, None, rep, "W2sq_bary_to_truth",
-                                     transport.w2_ls(model, m0) ** 2, wall, seed))
-        recs.append(ExperimentRecord("compare_bma", n, k, None, rep, "W2sq_bma_to_truth",
-                                     w_bma**2, wall, seed))
-        if not trace.converged:
-            bad.append((n, k, rep, "nonconverged"))
-    return ("ok", recs, bad)
+
+    def bma_to_truth(model, dist, m0, rng):
+        cloud_m0 = sample(m0, cfg.ot_samples, rng)
+        cloud_bma = sample(model_average(dist), cfg.ot_samples, rng)
+        if cfg.ot_samples > cfg.ot_cap:
+            warnings.warn("subsampling mixture clouds to the solver cap", RuntimeWarning)
+            idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
+            cloud_m0 = DiscreteMeasure(cloud_m0.points[np.sort(idx)])
+            idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
+            cloud_bma = DiscreteMeasure(cloud_bma.points[np.sort(idx)])
+        _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0, assignment_cap=cfg.ot_cap)
+        return "W2sq_bma_to_truth", w_bma**2
+
+    return _descent_cell(cfg, "compare_bma", n, rep, bma_to_truth)
 
 
 def run_bary_vs_bma(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -524,29 +503,17 @@ def run_bary_vs_bma(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     The barycenter distance is closed form; the mixture has no closed
     form and is estimated by exact transport between sampled clouds.
     """
-    report = ExperimentReport(cfg)
     cells = [(cfg, cfg.compare_n, rep) for rep in range(cfg.replications)]
-    for result in _run_cells(cells, _compare_cell, threads):
-        if result[0] == "ok":
-            report.extend(result[1])
-            for item in result[2]:
-                if item[-1] == "nonconverged":
-                    report.nonconverged_cells.append(item[:3])
-                else:
-                    report.failed_cells.append(item)
-        else:
-            report.failed_cells.append(result[1])
-    report.sort()
-    return report
+    return _run_cells(cfg, cells, _compare_cell, threads)
 
 
 def _sgd_cell(args):
     cfg, n = args
     t0 = time.perf_counter()
     try:
-        _, _, m0, pool = _nested_posterior_models(cfg, "sgd", n, 0, cfg.sgd_pool)
+        _, m0, pool = _posterior_cell(cfg, "sgd", n, cfg.sgd_pool, 0)
     except Exception as exc:  # noqa: BLE001
-        return ("failed", (n, None, None, repr(exc)))
+        return [], [(n, None, None, repr(exc))]
     pool_dist = ModelDistribution(support=pool)
     schedule = StepSchedule.harmonic()
     records = []
@@ -573,7 +540,7 @@ def _sgd_cell(args):
                 records.append(ExperimentRecord(
                     "sgd", n, None, s, rep, "var_grad", vg,
                     1e3 * (time.perf_counter() - t0), seed))
-    return ("ok", records, None)
+    return records, []
 
 
 def run_sgd_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -584,15 +551,7 @@ def run_sgd_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     squared distance to the true model is recorded with the iteration
     index in the ``k`` column.
     """
-    report = ExperimentReport(cfg)
-    cells = [(cfg, n) for n in cfg.n_grid]
-    for result in _run_cells(cells, _sgd_cell, threads):
-        if result[0] == "ok":
-            report.extend(result[1])
-        else:
-            report.failed_cells.append(result[1])
-    report.sort()
-    return report
+    return _run_cells(cfg, [(cfg, n) for n in cfg.n_grid], _sgd_cell, threads)
 
 
 def sgd_trajectory_std(report: ExperimentReport, n: int, s: int,

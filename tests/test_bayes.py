@@ -4,6 +4,7 @@ against conjugate oracles, vertical averages, estimator assembly."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from otbayes.bayes import (
     _TransformedTarget,
     _ensemble_sample,
     _walker_seeds,
-    metropolis_accept,
 )
 from otbayes.experiments import ExperimentConfig
 from otbayes.linalg import sqrtm_psd
@@ -141,42 +141,13 @@ class TestLogLikelihood:
 
 
 class TestMetropolis:
-    def test_acceptance_rule(self):
-        rng = np.random.default_rng(0)
-        assert metropolis_accept(rng, 0.5)  # uphill always accepted
-        hits = sum(metropolis_accept(rng, math.log(0.3)) for _ in range(20000))
-        assert hits / 20000 == pytest.approx(0.3, abs=0.015)
-
-    def test_two_state_detailed_balance(self):
-        # discrete target (0.3, 0.7) with flip proposals driven by the
-        # package's acceptance rule; flows must balance
-        rng = np.random.default_rng(42)
-        log_pi = np.log(np.array([0.3, 0.7]))
-        state = 0
-        counts = np.zeros((2, 2))
-        visits = np.zeros(2)
-        steps = 40000
-        for _ in range(steps):
-            other = 1 - state
-            visits[state] += 1
-            if metropolis_accept(rng, log_pi[other] - log_pi[state]):
-                counts[state, other] += 1
-                state = other
-            else:
-                counts[state, state] += 1
-        flow_01 = counts[0, 1] / steps
-        flow_10 = counts[1, 0] / steps
-        se = math.sqrt(flow_01 * (1 - flow_01) / steps) + math.sqrt(flow_10 * (1 - flow_10) / steps)
-        assert abs(flow_01 - flow_10) < 3.0 * se
-        assert visits[1] / steps == pytest.approx(0.7, abs=0.02)
-
     def test_prior_recovered_without_data(self):
         # n = 0: the chain must sample the prior itself
         rng = np.random.default_rng(2)
         prior = ParamPrior(2)
         gen = Generator.standard_normal(2)
         chain = _quiet_chain(prior, Dataset.empty(2), 10_000,
-                             McmcConfig(burn_in=2000, thin=10, init="prior"), rng, gen)
+                             McmcConfig(init="prior"), rng, gen)
         draws = chain.draws
         checks = [
             (draws[:, 0], stats.norm.cdf),
@@ -197,7 +168,7 @@ class TestMetropolis:
         gen = Generator.standard_normal(1)
         data = Dataset(rng.normal(1.0, 1.0, size=(50, 1)))
         k = 4000
-        chain = _quiet_chain(prior, data, k, McmcConfig(burn_in=1000, thin=5), rng, gen)
+        chain = _quiet_chain(prior, data, k, McmcConfig(), rng, gen)
         n = data.n
         xbar = data.observations.mean()
         post_mean, post_var = n * xbar / (n + 1), 1.0 / (n + 1)
@@ -211,7 +182,7 @@ class TestMetropolis:
         prior = ParamPrior(1, fixed_covariance=np.eye(1))
         gen = Generator.standard_normal(1)
         chain = _quiet_chain(prior, Dataset(rng.normal(size=(10, 1))), 123,
-                             McmcConfig(burn_in=200, thin=2), rng, gen)
+                             McmcConfig(), rng, gen)
         assert len(chain) == 123
         assert 0.0 < chain.acceptance_rate < 1.0
 
@@ -221,7 +192,7 @@ class TestMetropolis:
         rng = np.random.default_rng(3)
         prior = ParamPrior(2)
         gen = Generator.standard_normal(2)
-        chain = _quiet_chain(prior, Dataset.empty(2), 50, McmcConfig(burn_in=100, thin=1),
+        chain = _quiet_chain(prior, Dataset.empty(2), 50, McmcConfig(),
                              rng, gen)
         path = tmp_path / "chain.csv"
         chain.to_csv(path)
@@ -230,12 +201,54 @@ class TestMetropolis:
         assert np.allclose(clone.log_posterior, chain.log_posterior)
 
 
+
+class TestEveryKnobIsRead:
+    """No sampler setting is silently ignored: each field of McmcConfig,
+    moved alone off its default, changes the draws of a tiny chain;
+    ``warn_accept_range`` changes the warning instead."""
+
+    MOVED = {
+        "proposal_scale_b": 0.4,  # the jitter of the walker starts
+        "proposal_scale_log": 0.4,
+        "adapt_window": 60,
+        "warn_accept_range": (0.9, 1.0),
+        "init": "prior",
+        "init_rank": 1,
+        "n_walkers": 18,
+        "stretch_a": 2.5,
+        "burn_sweeps": 199,
+        "thin_sweeps": 4,
+    }
+
+    @staticmethod
+    def _run(mcmc):
+        gen = Generator.standard_normal(1)
+        data = Dataset(np.random.default_rng(0).normal(size=(10, 1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chain = metropolis_sample(ParamPrior(1), data, 16, mcmc,
+                                      np.random.default_rng(1), gen)
+        return chain.draws, [str(w.message) for w in caught]
+
+    def test_each_field_changes_the_chain(self):
+        assert {f.name for f in fields(McmcConfig)} == set(self.MOVED)
+        base, base_warnings = self._run(McmcConfig())
+        assert base_warnings == []
+        for name, value in self.MOVED.items():
+            draws, caught = self._run(replace(McmcConfig(), **{name: value}))
+            if name == "warn_accept_range":
+                assert np.array_equal(draws, base)
+                assert any("acceptance rate" in msg for msg in caught)
+            else:
+                assert not np.array_equal(draws, base), name
+
+
 class TestPosteriorModels:
     def test_single_draw_point_mass(self):
         rng = np.random.default_rng(0)
         prior = ParamPrior(2)
         gen = Generator.standard_normal(2)
-        chain = _quiet_chain(prior, Dataset.empty(2), 1, McmcConfig(burn_in=50, thin=1), rng, gen)
+        chain = _quiet_chain(prior, Dataset.empty(2), 1, McmcConfig(), rng, gen)
         dist = posterior_models(chain, gen, prior)
         assert len(dist.support) == 1
         assert dist.weights[0] == 1.0
@@ -244,7 +257,7 @@ class TestPosteriorModels:
         rng = np.random.default_rng(1)
         prior = ParamPrior(2)
         gen = Generator.standard_normal(2)
-        chain = _quiet_chain(prior, Dataset.empty(2), 25, McmcConfig(burn_in=50, thin=1), rng, gen)
+        chain = _quiet_chain(prior, Dataset.empty(2), 25, McmcConfig(), rng, gen)
         dist = posterior_models(chain, gen, prior)
         assert np.all(dist.weights == 1.0 / 25)
 
@@ -255,7 +268,7 @@ class TestPosteriorModels:
         prior = ParamPrior(3)
         gen = Generator.standard_normal(3)
         chain = _quiet_chain(prior, Dataset.empty(3), 3000,
-                             McmcConfig(burn_in=2000, thin=10, init="prior"), rng, gen)
+                             McmcConfig(init="prior"), rng, gen)
         dist = posterior_models(chain, gen, prior)
         avg_cov = np.mean([m.scatter_sq for m in dist.support], axis=0)
 
@@ -420,12 +433,12 @@ class TestConvexOrderAgainstModelAverage:
 
 class TestBwbEstimator:
     def test_point_prior_returns_that_model(self):
-        # zero proposal scale and a point-mass start: the chain never moves
+        # one fixed scale: the models differ only in location, and the
+        # barycenter of such a cloud is exact, so its residual vanishes
         rng = np.random.default_rng(0)
         prior = ParamPrior(1, fixed_covariance=np.eye(1))
         gen = Generator.standard_normal(1)
-        cfg = BwbConfig(k=5, mcmc=McmcConfig(burn_in=10, thin=1,
-                                             proposal_scale_b=1e-12,
+        cfg = BwbConfig(k=5, mcmc=McmcConfig(proposal_scale_b=1e-12,
                                              proposal_scale_log=1e-12, init="prior"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -792,7 +805,7 @@ class TestCosineKernelClosedForm:
 
 class TestPosteriorModelRoots:
     def _chain(self, draws):
-        return PosteriorChain(draws, np.zeros(len(draws)), 0.3, 0, 1)
+        return PosteriorChain(draws, np.zeros(len(draws)), 0.3)
 
     def test_fixed_covariance_root_is_taken_once(self, monkeypatch):
         q = 3

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import otbayes.experiments
 from otbayes.cli import main as cli_main
 from otbayes.experiments import (
     METRICS,
@@ -33,8 +34,6 @@ TINY = ExperimentConfig(
     k_grid=(5, 10),
     s_grid=(1, 3),
     replications=2,
-    burn_in=200,
-    thin=2,
     sgd_pool=30,
     sgd_iterations=12,
     sgd_summary_from=6,
@@ -61,6 +60,11 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json(json.dumps({"not_a_field": 1}))
+
+    @pytest.mark.parametrize("old, new", [("burn_in", "burn_sweeps"), ("thin", "thin_sweeps")])
+    def test_random_walk_fields_name_their_replacement(self, old, new):
+        with pytest.raises(ValueError, match=f"'{old}'.*'{new}'"):
+            ExperimentConfig.from_json(json.dumps({old: 10}))
 
     def test_reference_defaults(self):
         cfg = ExperimentConfig()
@@ -176,6 +180,12 @@ class TestRunners:
     def test_consistency_threads_match_serial(self, consistency_report):
         threaded = _quiet(run_posterior_consistency, TINY, threads=2)
         assert _strip_wall(threaded.records) == _strip_wall(consistency_report.records)
+        small = replace(TINY, n_grid=(10,), k_grid=(5,), s_grid=(1,), sgd_iterations=5,
+                        sgd_summary_from=2, descent_max_iter=1)
+        serial, threaded = (_quiet(run_all, small, threads=t) for t in (1, 2))
+        assert _strip_wall(threaded.records) == _strip_wall(serial.records)
+        assert threaded.failed_cells == serial.failed_cells
+        assert threaded.nonconverged_cells == serial.nonconverged_cells
 
     def test_barycenter_records_residuals(self):
         report = _quiet(run_barycenter_vs_truth, TINY)
@@ -210,6 +220,46 @@ class TestRunners:
         report = _quiet(run_all, small)
         exps = {r.experiment for r in report.records}
         assert exps == {"consistency", "barycenter", "compare_bma", "sgd"}
+
+
+RUNNERS = {
+    "consistency": run_posterior_consistency,
+    "barycenter": run_barycenter_vs_truth,
+    "compare_bma": run_bary_vs_bma,
+    "sgd": run_sgd_experiment,
+}
+
+
+class TestCellProblems:
+    @pytest.mark.parametrize("experiment", sorted(RUNNERS))
+    def test_failed_chain_is_reported_without_records(self, experiment, monkeypatch):
+        bad_n = TINY.compare_n
+        real = otbayes.experiments._posterior_cell
+        exc = RuntimeError("chain broke")
+
+        def flaky(cfg, exp, n, *args, **kwargs):
+            if n == bad_n:
+                raise exc
+            return real(cfg, exp, n, *args, **kwargs)
+
+        monkeypatch.setattr(otbayes.experiments, "_posterior_cell", flaky)
+        report = _quiet(RUNNERS[experiment], TINY)
+        # a stochastic-descent cell spans every replication of its n
+        reps = [None] if experiment == "sgd" else range(TINY.replications)
+        assert report.failed_cells == [(bad_n, None, rep, repr(exc)) for rep in reps]
+        assert not any(r.n == bad_n for r in report.records)
+        if experiment != "compare_bma":
+            assert {r.n for r in report.records} == set(TINY.n_grid) - {bad_n}
+
+    @pytest.mark.parametrize("experiment", ["barycenter", "compare_bma"])
+    def test_nonconverged_descent_is_listed(self, experiment):
+        report = _quiet(RUNNERS[experiment], replace(TINY, descent_max_iter=1))
+        n_grid = TINY.n_grid if experiment == "barycenter" else (TINY.compare_n,)
+        cells = [(n, k, rep) for n in n_grid for rep in range(TINY.replications)
+                 for k in TINY.k_grid]
+        assert report.nonconverged_cells == cells
+        assert not report.failed_cells
+        assert len(report.records) == 2 * len(cells)
 
 
 class TestCli:
