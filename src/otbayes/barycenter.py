@@ -7,12 +7,12 @@ the closed parameter-space updates of the supported families: averaged
 quantiles on the line and for shared copulas, averaged radial profiles,
 and the scatter fixed-point recursion for affine families.
 
-For scatter-location models every quantity of an iterate A0 against the
-support reads the cross terms (A0 S_m A0)^{1/2} of all k models, taken
-from one stacked eigendecomposition (:class:`transport.LsCrossTerms`).
-``empirical_barycenter`` evaluates them once per iterate and shares them
-between that iterate's risk and gradient norm and the step to the next
-iterate; ``fixed_point_residual`` reads them for the averaged map.
+Each family-specific quantity is read from the iterate's row of the
+family table in :mod:`transport` (``transport.family``), built once per
+iterate against the weighted support. ``empirical_barycenter`` shares
+that row between the iterate's risk and gradient norm and the step to
+the next iterate; for scatter-location models it holds the cross terms
+(A0 S_m A0)^{1/2} of one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -25,16 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CompatibilityError, ScheduleError
-from .linalg import sqrtm_psd
-from .measures import (
-    CopulaModel,
-    LocationScatterModel,
-    RadialProfile,
-    SphericalModel,
-    UnivariateModel,
-    mix_quantiles,
-)
+from .errors import ScheduleError
 from . import transport
 
 
@@ -65,7 +56,7 @@ class ModelDistribution:
                 raise ValueError("weights must be a nonnegative vector matching the support")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
-            _check_pairwise_compatible(support)
+            transport.family(*support)
             self.support = support
             self.weights = weights
         else:
@@ -89,35 +80,6 @@ class ModelDistribution:
     @classmethod
     def from_sampler(cls, sampler: Callable):
         return cls(sampler=sampler)
-
-
-def _family_kind(model):
-    if isinstance(model, UnivariateModel):
-        return "univariate"
-    if isinstance(model, LocationScatterModel):
-        return "location_scatter"
-    if isinstance(model, SphericalModel):
-        return "spherical"
-    if isinstance(model, CopulaModel):
-        return "copula"
-    raise CompatibilityError(f"unsupported model type {type(model).__name__}")
-
-
-def _check_pairwise_compatible(models: Sequence) -> None:
-    kind = _family_kind(models[0])
-    for m in models[1:]:
-        if _family_kind(m) != kind:
-            raise CompatibilityError("support mixes model families")
-    if kind in ("location_scatter", "spherical"):
-        key = models[0].generator.spec_key()
-        for m in models[1:]:
-            if m.generator.spec_key() != key:
-                raise CompatibilityError("support mixes generators")
-    if kind == "copula":
-        ident = models[0].copula.identifier()
-        for m in models[1:]:
-            if m.copula.identifier() != ident:
-                raise CompatibilityError("support mixes copulas")
 
 
 # ---------------------------------------------------------------------------
@@ -219,82 +181,33 @@ class StopRule:
 
 
 # ---------------------------------------------------------------------------
-# Single descent steps, per family
+# Single descent steps
 # ---------------------------------------------------------------------------
 
 
-def _step_univariate(mu, models, lam, gamma):
-    coeffs = np.concatenate([[1.0 - gamma], gamma * np.asarray(lam)])
-    return mix_quantiles(coeffs, [mu, *models])
-
-
-def _ls_cross(mu, models, weights, cross):
-    """The iterate's cross terms against ``models``: ``cross`` when given."""
+def _row(mu, models, weights, cross):
+    """The family row of ``mu`` against ``models``: ``cross`` when given,
+    else a new one, after checking every model against ``mu``."""
     if cross is None:
-        return transport.LsCrossTerms(mu, models, weights)
+        return transport.family(mu, *models)(mu, models, weights)
     if cross.mu is not mu or cross.weights.shape != (len(models),):
         raise ValueError("cross terms were computed for another iterate or support")
     return cross
-
-
-def _step_ls(mu: LocationScatterModel, cross: transport.LsCrossTerms, gamma):
-    # A1^2 = A0^{-1} M^2 A0^{-1} with M = (1 - gamma) A0^2 + gamma sum lam C
-    mid = (1.0 - gamma) * mu.scatter_sq + gamma * cross.cross_mean
-    new_sq = cross.scatter_inv @ mid @ mid @ cross.scatter_inv
-    new_sq = 0.5 * (new_sq + new_sq.T)
-    b = (1.0 - gamma) * mu.location + gamma * cross.mean_location
-    return LocationScatterModel(mu.generator, b, sqrtm_psd(new_sq, name="updated scatter"))
-
-
-def _step_spherical(mu: SphericalModel, models, lam, gamma):
-    radii = mu.alpha.radii
-    for m in models:
-        radii = np.union1d(radii, m.alpha.radii)
-    vals = (1.0 - gamma) * mu.alpha(radii)
-    for w, m in zip(lam, models):
-        vals = vals + gamma * w * m.alpha(radii)
-    return SphericalModel(mu.generator, RadialProfile(radii, vals))
-
-
-def _step_copula(mu: CopulaModel, models, lam, gamma):
-    marginals = []
-    for j in range(mu.dimension):
-        marginals.append(
-            _step_univariate(mu.marginals[j], [m.marginals[j] for m in models], lam, gamma)
-        )
-    return CopulaModel(mu.copula, marginals)
-
-
-_STEPS = {
-    "univariate": _step_univariate,
-    "spherical": _step_spherical,
-    "copula": _step_copula,
-}
-
-
-def _averaged_map_step(mu, models, lam, gamma, cross=None):
-    """Step from a compatibility-checked ``mu`` and ``models``."""
-    kind = _family_kind(mu)
-    if kind == "location_scatter":
-        return _step_ls(mu, _ls_cross(mu, models, lam, cross), gamma)
-    return _STEPS[kind](mu, models, lam, gamma)
 
 
 def gk_step(mu, dist: ModelDistribution, gamma: float, *, cross=None):
     """One deterministic descent step: push mu through the lambda-averaged
     optimal map, damped by gamma. gamma = 1 is the plain fixed-point
     iteration (and the optimal choice); gamma = 0 is a no-op. ``cross``
-    passes on the iterate's :class:`~otbayes.transport.LsCrossTerms`
-    against the support when the caller already holds them."""
+    passes on the iterate's family row against the support (see
+    :func:`transport.family`) when the caller already holds it."""
     if not dist.is_finite:
         raise ValueError("gk_step requires a finitely supported distribution")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    # the support was checked pairwise when the distribution was built
-    _check_pairwise_compatible([mu, dist.support[0]])
-    return _averaged_map_step(mu, dist.support, dist.weights, gamma, cross)
+    return _row(mu, dist.support, dist.weights, cross).step(gamma)
 
 
 def sgd_step(mu, model, gamma: float):
@@ -310,9 +223,7 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    lam = np.full(len(batch), 1.0 / len(batch))
-    _check_pairwise_compatible([mu, *batch])
-    return _averaged_map_step(mu, list(batch), lam, gamma)
+    return _row(mu, batch, None, None).step(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -323,51 +234,14 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
 def risk(mu, models, weights=None, *, cross=None) -> float:
     """Half the weighted average squared distance from mu to the models.
 
-    ``cross``: the scatter-location iterate's cross terms, as for
-    :func:`gk_step`."""
-    if weights is None:
-        weights = np.full(len(models), 1.0 / len(models))
-    if isinstance(mu, LocationScatterModel):
-        cross = _ls_cross(mu, models, weights, cross)
-        return 0.5 * math.fsum(cross.weights * cross.w2_sq())
-    return 0.5 * float(
-        math.fsum(w * transport.w2(mu, m) ** 2 for w, m in zip(weights, models))
-    )
+    ``cross``: the iterate's family row, as for :func:`gk_step`."""
+    row = _row(mu, models, weights, cross)
+    return 0.5 * math.fsum(row.weights * row.w2_sq())
 
 
 def _grad_norm_sq(mu, models, weights=None, *, cross=None) -> float:
     """Squared norm of the averaged displacement, in the family parameters."""
-    if weights is None:
-        weights = np.full(len(models), 1.0 / len(models))
-    kind = _family_kind(mu)
-    if kind == "univariate":
-        from .measures import default_levels
-
-        u = default_levels(1024)
-        qbar = np.zeros_like(u)
-        for w, m in zip(weights, models):
-            qbar += w * m.quantile(u)
-        gap = qbar - mu.quantile(u)
-        return float(np.mean(gap * gap))
-    if kind == "location_scatter":
-        cross = _ls_cross(mu, models, weights, cross)
-        gap = cross.map_matrix - np.eye(mu.dimension)
-        shift = cross.mean_location - mu.location
-        return float(np.trace(gap @ mu.scatter_sq @ gap.T) + np.sum(shift * shift))
-    if kind == "spherical":
-        u = np.linspace(1e-4, 1.0 - 1e-4, 1024)
-        r = mu.generator.radial_quantile(u)
-        abar = np.zeros_like(r)
-        for w, m in zip(weights, models):
-            abar += w * m.alpha(r)
-        gap = abar - mu.alpha(r)
-        return float(np.mean(gap * gap))
-    if kind == "copula":
-        total = 0.0
-        for j in range(mu.dimension):
-            total += _grad_norm_sq(mu.marginals[j], [m.marginals[j] for m in models], weights)
-        return total
-    raise CompatibilityError(f"unsupported family {kind}")
+    return _row(mu, models, weights, cross).grad_norm_sq()
 
 
 def fixed_point_residual(mu_hat, dist: ModelDistribution, n_mc: int = 256,
@@ -379,18 +253,12 @@ def fixed_point_residual(mu_hat, dist: ModelDistribution, n_mc: int = 256,
     other families it is the L2(mu_hat) norm of the averaged displacement.
     Sampler-mode distributions are averaged over ``n_mc`` fresh draws.
     """
-    if dist.is_finite:
-        models, weights = dist.support, dist.weights
-    else:
+    models, weights = dist.support, dist.weights  # uniform weights when None
+    if not dist.is_finite:
         if rng is None:
             raise ValueError("sampler-mode distributions need an rng")
         models = [dist.draw(rng) for _ in range(n_mc)]
-        weights = np.full(n_mc, 1.0 / n_mc)
-
-    if isinstance(mu_hat, LocationScatterModel):
-        abar = transport.LsCrossTerms(mu_hat, models, weights).map_matrix
-        return float(np.linalg.norm(abar - np.eye(mu_hat.dimension), ord="fro"))
-    return math.sqrt(max(_grad_norm_sq(mu_hat, models, weights), 0.0))
+    return _row(mu_hat, models, weights, None).residual()
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +283,19 @@ def empirical_barycenter(
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     support, weights = dist.support, dist.weights
-    # one stacked cross-term evaluation per scatter-location iterate
-    ls = isinstance(support[0], LocationScatterModel)
+    # one row per iterate; the support was checked when dist was built
+    row = transport.family(support[0])
     trace = DescentTrace()
     t0 = time.perf_counter()
     mu = support[0]
-    cross = transport.LsCrossTerms(mu, support, weights) if ls else None
+    cross = row(mu, support, weights)
     f_prev = risk(mu, support, weights, cross=cross)
     trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, support, weights, cross=cross),
                  1e3 * (time.perf_counter() - t0))
     converged = False
     for it in range(1, stop.max_iter + 1):
         mu = gk_step(mu, dist, gamma, cross=cross)
-        cross = transport.LsCrossTerms(mu, support, weights) if ls else None
+        cross = row(mu, support, weights)
         f_cur = risk(mu, support, weights, cross=cross)
         trace.record(it, gamma, f_cur, _grad_norm_sq(mu, support, weights, cross=cross),
                      1e3 * (time.perf_counter() - t0))
@@ -505,11 +373,10 @@ def variance_of_gradient_estimator(
                       RuntimeWarning, stacklevel=2)
     x = np.asarray(mu.sample(n_points, rng), dtype=float)
     x2d = x.reshape(x.shape[0], -1)
-    weights = np.full(batch_size, 1.0 / batch_size)
     disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
     for r in range(reps):
         batch = [dist.draw(rng) for _ in range(batch_size)]
-        tx = np.asarray(transport.averaged_map(mu, batch, weights)(x), dtype=float)
+        tx = np.asarray(transport.averaged_map(mu, batch)(x), dtype=float)
         disp[r] = tx.reshape(x2d.shape) - x2d
     dbar = disp.mean(axis=0)
     dev = disp - dbar

@@ -589,6 +589,8 @@ def metropolis_sample(
     gen = gen or Generator.standard_normal(prior.dimension)
     if mcmc.proposal_scale_b <= 0.0 or mcmc.proposal_scale_log <= 0.0:
         raise ValueError("proposal scales must be positive")
+    if mcmc.init not in ("search", "prior"):
+        raise ValueError(f"init must be 'search' or 'prior', got {mcmc.init!r}")
 
     target = _TransformedTarget(prior, data, gen)
     draws_phi, logps, rate = _ensemble_sample(target, k, mcmc, rng)

@@ -411,7 +411,7 @@ def _consistency_cell(args):
         _, m0, models = _posterior_cell(cfg, "consistency", n, max(cfg.k_grid), rep)
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
         return [], [(n, None, rep, repr(exc))]
-    d2 = transport.LsCrossTerms(m0, models, np.full(len(models), 1.0 / len(models))).w2_sq()
+    d2 = transport.family(m0, *models)(m0, models).w2_sq()
     wall = 1e3 * (time.perf_counter() - t0)
     recs = [ExperimentRecord("consistency", n, k, None, rep, "W2sq_post_to_truth",
                              float(d2[_strided(k, d2.size)].mean()), wall,

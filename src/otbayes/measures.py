@@ -819,7 +819,10 @@ class LocationScatterModel:
     ``scatter_sq`` (= A^2) is the scatter parameter usually written as a
     covariance; the actual covariance is ``A C A`` with C the generator's
     (diagonal) covariance, and the two agree when the generator is
-    standardized.
+    standardized. The closed-form distance between two such models
+    (``transport.w2_ls``) is W2 only for a Gaussian generator or commuting
+    scatters; for another standardized generator it is the Gelbrich lower
+    bound, and for one that is not standardized a parameter-space distance.
     """
 
     family = "location_scatter"

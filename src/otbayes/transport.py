@@ -6,6 +6,10 @@ reprofiled models, and symmetric-PSD affine maps for scatter-location
 models. An exact discrete solver (assignment for uniform weights, LP for
 general weights, merge scan in one dimension) covers empirical clouds.
 
+The family table at the end holds one row per family; :func:`family` is
+the one place that decides a model's family and checks models against
+each other.
+
 All functions are pure; no shared mutable state.
 """
 
@@ -31,7 +35,9 @@ from .measures import (
     RadialProfile,
     SphericalModel,
     UnivariateModel,
+    default_levels,
     gauss_legendre,
+    mix_quantiles,
 )
 
 DEFAULT_ASSIGNMENT_CAP = 512
@@ -240,62 +246,8 @@ def wp_univariate(m1: UnivariateModel, m2: UnivariateModel, p: float = 2.0) -> f
 
 
 # ---------------------------------------------------------------------------
-# Scatter-location maps and distances
+# Scatter-location, copula and spherical maps and distances
 # ---------------------------------------------------------------------------
-
-
-def _check_same_generator(m1, m2):
-    if m1.generator.spec_key() != m2.generator.spec_key():
-        raise CompatibilityError("models are built on different generators")
-
-
-class LsCrossTerms:
-    """Cross terms of one scatter-location model against k others.
-
-    For ``mu = L(A0 x + b0)`` and models ``L(A_m x + b_m)`` with
-    ``S_m = A_m^2``, the cross terms ``C_m = (A0 S_m A0)^{1/2}`` come from
-    one stacked :func:`sqrtm_psd` over the (k, q, q) array of
-    ``A0 S_m A0``, checked matrix by matrix. Distances, the averaged map
-    and the descent step all read that one result: ``cross_traces`` holds
-    ``tr C_m`` and ``cross_mean`` holds ``sum_m w_m C_m``.
-    """
-
-    def __init__(self, mu: LocationScatterModel, models: Sequence, weights):
-        for m in models:
-            if not isinstance(m, LocationScatterModel):
-                raise CompatibilityError(f"{type(m).__name__} is not a scatter-location model")
-            _check_same_generator(mu, m)
-        a0 = mu.scatter
-        sq = np.stack([m.scatter_sq for m in models])
-        self.sq_traces = np.trace(sq, axis1=1, axis2=2)
-        roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
-        self.mu = mu
-        self.weights = np.asarray(weights, dtype=float)
-        self.locations = np.stack([m.location for m in models])
-        self.cross_traces = np.trace(roots, axis1=1, axis2=2)
-        # summed model by model, in support order
-        roots *= self.weights[:, None, None]
-        self.cross_mean = np.sum(roots, axis=0)
-
-    def w2_sq(self) -> np.ndarray:
-        """Per-model ``|b0 - b_m|^2 + tr(S0 + S_m - 2 C_m)``, floored at 0."""
-        gap = self.locations - self.mu.location
-        d2 = np.sum(gap * gap, axis=1)
-        d2 += np.trace(self.mu.scatter_sq) + self.sq_traces - 2.0 * self.cross_traces
-        return np.maximum(d2, 0.0)
-
-    @cached_property
-    def scatter_inv(self) -> np.ndarray:
-        return inv_psd(self.mu.scatter)
-
-    @cached_property
-    def map_matrix(self) -> np.ndarray:
-        """Linear part ``A0^{-1} (sum_m w_m C_m) A0^{-1}`` of the averaged map."""
-        return ls_map_matrix(self.scatter_inv, self.cross_mean)
-
-    @cached_property
-    def mean_location(self) -> np.ndarray:
-        return self.weights @ self.locations
 
 
 def ls_map_matrix(a1_inv: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -308,23 +260,25 @@ def ls_map_matrix(a1_inv: np.ndarray, cross: np.ndarray) -> np.ndarray:
 
 
 def ot_map_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> AffinePSDMap:
-    """Optimal affine map between scatter-location models with one generator."""
+    """Symmetric affine map between scatter-location models with one
+    generator; :func:`w2_ls` says when it is optimal."""
+    family(m1, m2)
     return AffinePSDMap(LsCrossTerms(m1, [m2], [1.0]).map_matrix, m1.location, m2.location)
 
 
 def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
-    """2-Wasserstein distance between scatter-location models.
+    """``d^2 = |b1 - b2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})``
+    in the scatter parameters.
 
-    ``W_2^2 = |b1 - b2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})``
-    in the scatter parameters; exact when the shared generator is
-    standardized, a documented parameter-space approximation otherwise.
+    The symmetric map of :func:`ot_map_ls` sends ``L(A1 X + b1)`` to
+    ``L(A2 R X + b2)`` with R orthogonal. So d is W2 only when the shared
+    generator is rotation-invariant (Gaussian) or the scatters commute.
+    Otherwise it is the Gelbrich lower bound in the scatter parameters
+    (Gelbrich 1990, Math. Nachr. 147), and for a generator that is not
+    standardized a parameter-space distance.
     """
+    family(m1, m2)
     return math.sqrt(LsCrossTerms(m1, [m2], [1.0]).w2_sq()[0])
-
-
-# ---------------------------------------------------------------------------
-# Copula and spherical families
-# ---------------------------------------------------------------------------
 
 
 def ot_map_copula(m1: CopulaModel, m2: CopulaModel) -> CoordinatewiseMap:
@@ -333,10 +287,7 @@ def ot_map_copula(m1: CopulaModel, m2: CopulaModel) -> CoordinatewiseMap:
     Only valid when both models carry the same copula; then the total cost
     splits as the sum of marginal costs.
     """
-    if m1.copula.identifier() != m2.copula.identifier():
-        raise CompatibilityError("copula models do not share the same copula")
-    if m1.dimension != m2.dimension:
-        raise CompatibilityError("copula models have different dimensions")
+    family(m1, m2)
     maps = tuple(
         ot_map_univariate(a, b) for a, b in zip(m1.marginals, m2.marginals)
     )
@@ -344,8 +295,7 @@ def ot_map_copula(m1: CopulaModel, m2: CopulaModel) -> CoordinatewiseMap:
 
 
 def wp_copula(m1: CopulaModel, m2: CopulaModel, p: float = 2.0) -> float:
-    if m1.copula.identifier() != m2.copula.identifier():
-        raise CompatibilityError("copula models do not share the same copula")
+    family(m1, m2)
     total = math.fsum(
         wp_univariate(a, b, p) ** p for a, b in zip(m1.marginals, m2.marginals)
     )
@@ -358,7 +308,7 @@ def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
     Flat segments of alpha1 are merged (1e-12 tolerance) before inversion;
     a profile flat over the whole support is rejected.
     """
-    _check_same_generator(m1, m2)
+    family(m1, m2)
     a1, a2 = m1.alpha, m2.alpha
     radii = np.unique(np.concatenate([a1.radii, a2.radii]))
     v1 = a1(radii)
@@ -371,7 +321,7 @@ def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
 
 def w2_spherical(m1: SphericalModel, m2: SphericalModel) -> float:
     """L2 gap between profiles under the generator's radial law."""
-    _check_same_generator(m1, m2)
+    family(m1, m2)
     nodes, weights = gauss_legendre(512)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
@@ -553,50 +503,213 @@ def discrete_ot(
 
 
 # ---------------------------------------------------------------------------
-# Family dispatch used by the descent layer
+# The family table: one row per model family
 # ---------------------------------------------------------------------------
 
 
+class FamilyRow:
+    """A family's row: its ``model_type``, the ``key`` its models share
+    and the closed-form pair ``w2`` / ``ot_map``. Over an iterate ``mu``
+    and ``models`` (``weights`` uniform when None) it gives the per-model
+    squared distances, the ``step(gamma)``, the squared norm of the
+    averaged displacement, the fixed-point residual and the averaged
+    map, without checking the models: :func:`family` does that."""
+
+    model_type: type
+    shared = ""  # what the key holds, for the compatibility error
+    key = staticmethod(lambda m: None)
+
+    def __init__(self, mu, models: Sequence, weights=None):
+        self.mu = mu
+        self.models = models
+        self.weights = (np.full(len(models), 1.0 / len(models)) if weights is None
+                        else np.asarray(weights, dtype=float))
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model ``W_2(mu, m)^2``."""
+        return np.array([self.w2(self.mu, m) ** 2 for m in self.models])
+
+    def residual(self) -> float:
+        """L2(mu) norm of the averaged displacement."""
+        return math.sqrt(max(self.grad_norm_sq(), 0.0))
+
+    def averaged_map(self) -> TransportMap:
+        """``x -> sum_m w_m T_m(x)``, pointwise."""
+        return ConvexCombinationMap(self.weights, [self.ot_map(self.mu, m) for m in self.models])
+
+
+class UnivariateRow(FamilyRow):
+    """Models on the line: the step averages quantile functions."""
+
+    model_type = UnivariateModel
+    w2 = staticmethod(lambda m1, m2: wp_univariate(m1, m2, 2.0))
+    ot_map = staticmethod(lambda m1, m2: ot_map_univariate(m1, m2))
+
+    def step(self, gamma):
+        coeffs = np.concatenate([[1.0 - gamma], gamma * self.weights])
+        return mix_quantiles(coeffs, [self.mu, *self.models])
+
+    def grad_norm_sq(self) -> float:
+        u = default_levels(1024)
+        qbar = np.zeros_like(u)
+        for w, m in zip(self.weights, self.models):
+            qbar += w * m.quantile(u)
+        gap = qbar - self.mu.quantile(u)
+        return float(np.mean(gap * gap))
+
+
+class LsCrossTerms(FamilyRow):
+    """Scatter-location models on one generator. For ``mu = L(A0 x + b0)``
+    and models ``L(A_m x + b_m)`` with ``S_m = A_m^2``, the cross terms
+    ``C_m = (A0 S_m A0)^{1/2}`` come from one stacked :func:`sqrtm_psd`
+    over the (k, q, q) array of ``A0 S_m A0``, checked matrix by matrix.
+    Distances, the averaged map and the descent step all read that one
+    result: ``cross_traces`` holds ``tr C_m`` and ``cross_mean`` holds
+    ``sum_m w_m C_m``.
+    """
+
+    model_type, shared = LocationScatterModel, "generator"
+    key = staticmethod(lambda m: m.generator.spec_key())
+    w2 = staticmethod(lambda m1, m2: w2_ls(m1, m2))
+    ot_map = staticmethod(lambda m1, m2: ot_map_ls(m1, m2))
+
+    def __init__(self, mu: LocationScatterModel, models: Sequence, weights=None):
+        super().__init__(mu, models, weights)
+        a0 = mu.scatter
+        sq = np.stack([m.scatter_sq for m in models])
+        self.sq_traces = np.trace(sq, axis1=1, axis2=2)
+        roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
+        self.locations = np.stack([m.location for m in models])
+        self.cross_traces = np.trace(roots, axis1=1, axis2=2)
+        # summed model by model, in support order
+        roots *= self.weights[:, None, None]
+        self.cross_mean = np.sum(roots, axis=0)
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model ``|b0 - b_m|^2 + tr(S0 + S_m - 2 C_m)``, floored at 0."""
+        gap = self.locations - self.mu.location
+        d2 = np.sum(gap * gap, axis=1)
+        d2 += np.trace(self.mu.scatter_sq) + self.sq_traces - 2.0 * self.cross_traces
+        return np.maximum(d2, 0.0)
+
+    @cached_property
+    def scatter_inv(self) -> np.ndarray:
+        return inv_psd(self.mu.scatter)
+
+    @cached_property
+    def map_matrix(self) -> np.ndarray:
+        """Linear part ``A0^{-1} (sum_m w_m C_m) A0^{-1}`` of the averaged map."""
+        return ls_map_matrix(self.scatter_inv, self.cross_mean)
+
+    @cached_property
+    def mean_location(self) -> np.ndarray:
+        return self.weights @ self.locations
+
+    def step(self, gamma):
+        # A1^2 = A0^{-1} M^2 A0^{-1} with M = (1 - gamma) A0^2 + gamma sum lam C
+        mu = self.mu
+        mid = (1.0 - gamma) * mu.scatter_sq + gamma * self.cross_mean
+        new_sq = self.scatter_inv @ mid @ mid @ self.scatter_inv
+        new_sq = 0.5 * (new_sq + new_sq.T)
+        b = (1.0 - gamma) * mu.location + gamma * self.mean_location
+        return LocationScatterModel(mu.generator, b, sqrtm_psd(new_sq, name="updated scatter"))
+
+    def grad_norm_sq(self) -> float:
+        gap = self.map_matrix - np.eye(self.mu.dimension)
+        shift = self.mean_location - self.mu.location
+        return float(np.trace(gap @ self.mu.scatter_sq @ gap.T) + np.sum(shift * shift))
+
+    def residual(self) -> float:
+        """Frobenius gap ``|avg A - I|_F`` of the averaged linear parts."""
+        return float(np.linalg.norm(self.map_matrix - np.eye(self.mu.dimension), ord="fro"))
+
+    def averaged_map(self) -> TransportMap:
+        """The maps share ``b1 = mu.location``: their average is one affine map."""
+        return AffinePSDMap(self.map_matrix, self.mu.location, self.mean_location)
+
+
+class SphericalRow(FamilyRow):
+    """Radial reprofilings of one generator: the step averages profiles."""
+
+    model_type, shared = SphericalModel, "generator"
+    key = staticmethod(lambda m: m.generator.spec_key())
+    w2 = staticmethod(lambda m1, m2: w2_spherical(m1, m2))
+    ot_map = staticmethod(lambda m1, m2: ot_map_spherical(m1, m2))
+
+    def step(self, gamma):
+        mu = self.mu
+        radii = mu.alpha.radii
+        for m in self.models:
+            radii = np.union1d(radii, m.alpha.radii)
+        vals = (1.0 - gamma) * mu.alpha(radii)
+        for w, m in zip(self.weights, self.models):
+            vals = vals + gamma * w * m.alpha(radii)
+        return SphericalModel(mu.generator, RadialProfile(radii, vals))
+
+    def grad_norm_sq(self) -> float:
+        u = np.linspace(1e-4, 1.0 - 1e-4, 1024)
+        r = self.mu.generator.radial_quantile(u)
+        abar = np.zeros_like(r)
+        for w, m in zip(self.weights, self.models):
+            abar += w * m.alpha(r)
+        gap = abar - self.mu.alpha(r)
+        return float(np.mean(gap * gap))
+
+
+class CopulaRow(FamilyRow):
+    """Models of one copula and dimension: a univariate row per marginal."""
+
+    model_type, shared = CopulaModel, "copula and dimension"
+    key = staticmethod(lambda m: (m.copula.identifier(), m.dimension))
+    w2 = staticmethod(lambda m1, m2: wp_copula(m1, m2, 2.0))
+    ot_map = staticmethod(lambda m1, m2: ot_map_copula(m1, m2))
+
+    def _marginal_rows(self):
+        for j, mu_j in enumerate(self.mu.marginals):
+            yield UnivariateRow(mu_j, [m.marginals[j] for m in self.models], self.weights)
+
+    def step(self, gamma):
+        return CopulaModel(self.mu.copula, [row.step(gamma) for row in self._marginal_rows()])
+
+    def grad_norm_sq(self) -> float:
+        return sum(row.grad_norm_sq() for row in self._marginal_rows())
+
+
+FAMILIES = (UnivariateRow, LsCrossTerms, SphericalRow, CopulaRow)
+
+
+def family(*models) -> type:
+    """The row of the family all ``models`` share; :class:`CompatibilityError`
+    for a model of no family, two families, or keys that differ."""
+    first = models[0]
+    for row in FAMILIES:
+        if isinstance(first, row.model_type):
+            break
+    else:
+        raise CompatibilityError(f"unsupported model type {type(first).__name__}")
+    key = row.key(first)
+    for m in models[1:]:
+        if not isinstance(m, row.model_type):
+            raise CompatibilityError(f"{type(m).__name__} is not a {row.model_type.__name__}")
+        if row.key(m) != key:
+            raise CompatibilityError(f"{row.model_type.__name__}s differ in {row.shared}")
+    return row
+
+
 def w2(m1, m2) -> float:
-    """2-Wasserstein distance dispatched on the model family."""
-    if isinstance(m1, UnivariateModel) and isinstance(m2, UnivariateModel):
-        return wp_univariate(m1, m2, 2.0)
-    if isinstance(m1, LocationScatterModel) and isinstance(m2, LocationScatterModel):
-        return w2_ls(m1, m2)
-    if isinstance(m1, CopulaModel) and isinstance(m2, CopulaModel):
-        return wp_copula(m1, m2, 2.0)
-    if isinstance(m1, SphericalModel) and isinstance(m2, SphericalModel):
-        return w2_spherical(m1, m2)
+    """2-Wasserstein distance between models of one family, or between two
+    point clouds by the exact discrete solver."""
     if isinstance(m1, DiscreteMeasure) and isinstance(m2, DiscreteMeasure):
         return discrete_ot(m1, m2, 2.0)[1]
-    raise CompatibilityError(
-        f"no closed-form distance between {type(m1).__name__} and {type(m2).__name__}"
-    )
+    return family(m1, m2).w2(m1, m2)
 
 
 def ot_map(m1, m2) -> TransportMap:
-    """Optimal map dispatched on the model family."""
-    if isinstance(m1, UnivariateModel) and isinstance(m2, UnivariateModel):
-        return ot_map_univariate(m1, m2)
-    if isinstance(m1, LocationScatterModel) and isinstance(m2, LocationScatterModel):
-        return ot_map_ls(m1, m2)
-    if isinstance(m1, CopulaModel) and isinstance(m2, CopulaModel):
-        return ot_map_copula(m1, m2)
-    if isinstance(m1, SphericalModel) and isinstance(m2, SphericalModel):
-        return ot_map_spherical(m1, m2)
-    raise CompatibilityError(
-        f"no closed-form map between {type(m1).__name__} and {type(m2).__name__}"
-    )
+    """Optimal map between models of one family."""
+    return family(m1, m2).ot_map(m1, m2)
 
 
-def averaged_map(mu, models: Sequence, weights) -> TransportMap:
-    """``x -> sum_m w_m T_m(x)`` with ``T_m`` the optimal map from mu to models[m].
-
-    Scatter-location maps share ``b1 = mu.location``, so their average is one
-    affine map read from a single :class:`LsCrossTerms`; other families get
-    the pointwise :class:`ConvexCombinationMap` of their maps.
-    """
-    if isinstance(mu, LocationScatterModel):
-        cross = LsCrossTerms(mu, models, weights)
-        return AffinePSDMap(cross.map_matrix, mu.location, cross.mean_location)
-    return ConvexCombinationMap(weights, [ot_map(mu, m) for m in models])
+def averaged_map(mu, models: Sequence, weights=None) -> TransportMap:
+    """``x -> sum_m w_m T_m(x)`` with ``T_m`` the optimal map from mu to
+    models[m], uniform weights when None."""
+    return family(mu, *models)(mu, models, weights).averaged_map()

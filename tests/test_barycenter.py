@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otbayes import (
+    CompatibilityError,
     CopulaModel,
     GaussianCopula,
     Generator,
@@ -17,6 +18,7 @@ from otbayes import (
     IndependenceCopula,
     Laplace,
     Logistic,
+    MixtureModel,
     ModelDistribution,
     Normal,
     RadialProfile,
@@ -208,6 +210,20 @@ class TestEmpiricalBarycenter:
         ])
         bary, _ = empirical_barycenter(dist, stop=TIGHT)
         assert np.allclose(bary.alpha(r), 2.0 * r, atol=1e-10)
+
+
+class TestSupportCompatibility:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_copula_dimensions_must_agree(self, dims):
+        # a step would drop the extra marginal, or index past the last one
+        support = [CopulaModel(IndependenceCopula(), [Normal(0, 1)] * d) for d in dims]
+        with pytest.raises(CompatibilityError):
+            empirical_barycenter(ModelDistribution(support=support))
+
+    def test_unsupported_model_type(self):
+        mix = MixtureModel([Normal(0, 1), Normal(1, 1)], [0.5, 0.5])
+        with pytest.raises(CompatibilityError):
+            ModelDistribution(support=[mix])
 
 
 class TestFixedPointResidual:
@@ -422,10 +438,11 @@ class TestMixedGridSupport:
 
 
 # ---------------------------------------------------------------------------
-# Invariances of the univariate and copula barycenters
+# Invariances of the univariate, copula and spherical barycenters
 # ---------------------------------------------------------------------------
 
 _LEVELS = np.linspace(0.01, 0.99, 41)
+_RADII = np.linspace(0.0, 10.0, 41)
 _UNIVARIATE = (Normal, Laplace, Logistic, Gumbel, lambda loc, scale: StudentT(5.0, loc, scale))
 
 
@@ -450,19 +467,33 @@ def _copula_cloud(rng, k, q, copula):
     return [CopulaModel(copula, _univariate_cloud(rng, q)) for _ in range(k)]
 
 
+def _spherical_cloud(rng, k):
+    """k radial profiles of one generator, each on its own radii."""
+    gen = Generator.standard_normal(2)
+    out = []
+    for _ in range(k):
+        r = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 8.0, size=12))])
+        out.append(SphericalModel(gen, RadialProfile(
+            r, rng.uniform(0.5, 2.0) * r + rng.uniform(0.0, 0.1) * r**2)))
+    return out
+
+
 def _marginals(m):
     return m.marginals if isinstance(m, CopulaModel) else (m,)
 
 
-def _bary_quantiles(dist):
+def _bary_curves(dist):
+    """The barycenter with its marginal quantiles, or its radial profile, on a grid."""
     bary, trace = empirical_barycenter(dist, stop=TIGHT)
     assert trace.converged
+    if isinstance(bary, SphericalModel):
+        return bary, bary.alpha(_RADII)[None, :]
     return bary, np.array([mj.quantile(_LEVELS) for mj in _marginals(bary)])
 
 
 def _same_barycenter(d1, d2):
-    a, qa = _bary_quantiles(d1)
-    b, qb = _bary_quantiles(d2)
+    a, qa = _bary_curves(d1)
+    b, qb = _bary_curves(d2)
     assert np.allclose(qb, qa, rtol=1e-12, atol=1e-12)
     assert risk(b, d2.support, d2.weights) == pytest.approx(
         risk(a, d1.support, d1.weights), rel=1e-9, abs=1e-12)
@@ -470,14 +501,18 @@ def _same_barycenter(d1, d2):
 
 class TestFamilyBarycenterInvariance:
     """Permutation, duplication and affine invariances for the univariate
-    and shared-copula families, whose barycenter is the averaged quantile."""
+    and shared-copula families, whose barycenter is the averaged quantile,
+    and for the spherical family, whose barycenter is the averaged radial
+    profile (scaled, not translated: a profile has no translation)."""
 
-    kinds = st.sampled_from(["univariate", "independence", "gaussian"])
+    kinds = st.sampled_from(["univariate", "independence", "gaussian", "spherical"])
 
     @staticmethod
     def _cloud(rng, kind, k):
         if kind == "univariate":
             return _univariate_cloud(rng, k)
+        if kind == "spherical":
+            return _spherical_cloud(rng, k)
         copula = IndependenceCopula() if kind == "independence" else \
             GaussianCopula([[1.0, 0.4], [0.4, 1.0]])
         return _copula_cloud(rng, k, 2, copula)
@@ -514,11 +549,16 @@ class TestFamilyBarycenterInvariance:
         shift = 5.0 * rng.normal(size=len(_marginals(models[0])))
         if kind == "univariate":
             moved = [_moved(m, scale, shift[0]) for m in models]
+        elif kind == "spherical":
+            shift[:] = 0.0
+            moved = [SphericalModel(m.generator,
+                                    RadialProfile(m.alpha.radii, scale * m.alpha.values))
+                     for m in models]
         else:
             moved = [CopulaModel(m.copula, [_moved(mj, scale, c)
                                             for mj, c in zip(m.marginals, shift)])
                      for m in models]
-        a, qa = _bary_quantiles(ModelDistribution(support=models))
-        b, qb = _bary_quantiles(ModelDistribution(support=moved))
+        a, qa = _bary_curves(ModelDistribution(support=models))
+        b, qb = _bary_curves(ModelDistribution(support=moved))
         assert np.allclose(qb, scale * qa + shift[:, None], rtol=1e-12, atol=1e-11 * scale)
         assert risk(b, moved) == pytest.approx(scale**2 * risk(a, models), rel=1e-8, abs=1e-12)

@@ -242,6 +242,12 @@ class TestEveryKnobIsRead:
             else:
                 assert not np.array_equal(draws, base), name
 
+    @pytest.mark.parametrize("init", ["prior ", "Prior", "random"])
+    def test_misspelt_init_is_rejected(self, init):
+        # any other value would silently run the search start
+        with pytest.raises(ValueError, match="'search' or 'prior'"):
+            self._run(replace(McmcConfig(), init=init))
+
 
 class TestPosteriorModels:
     def test_single_draw_point_mass(self):

@@ -26,6 +26,7 @@ from otbayes import (
     IndependenceCopula,
     Laplace,
     Logistic,
+    MixtureModel,
     Normal,
     QuadratureError,
     QuantileMixModel,
@@ -40,6 +41,7 @@ from otbayes import (
     ot_map_spherical,
     ot_map_univariate,
     sample,
+    w2,
     w2_ls,
     wp_copula,
     wp_univariate,
@@ -341,6 +343,19 @@ class TestCopulaMaps:
         m2 = CopulaModel(GaussianCopula([[1.0]]), [Normal(0, 1)])
         with pytest.raises(CompatibilityError):
             ot_map_copula(m1, m2)
+
+    def test_dimension_and_type_mismatch(self):
+        # a zip over the marginals would drop the extra one and read 0.0
+        cop = IndependenceCopula()
+        m2 = CopulaModel(cop, [Normal(0, 1), Normal(0, 1)])
+        m3 = CopulaModel(cop, [Normal(0, 1), Normal(0, 1), Normal(0, 1)])
+        for a, b in ((m2, m3), (m3, m2)):
+            for fn in (wp_copula, w2, ot_map_copula):
+                with pytest.raises(CompatibilityError):
+                    fn(a, b)
+        mix = MixtureModel([m2, m2], [0.5, 0.5])
+        with pytest.raises(CompatibilityError):
+            w2(mix, m2)
 
     def test_additivity_against_discrete_solver(self):
         rng = np.random.default_rng(14)
