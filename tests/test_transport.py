@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 import otbayes.transport
 from otbayes import (
@@ -456,6 +458,29 @@ class TestDiscreteOt:
         w[1] -= 1e-13
         _, d_lp = discrete_ot(DiscreteMeasure(xs, w / w.sum()), DiscreteMeasure(ys))
         assert d_lp == pytest.approx(d_assign, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_assignment_matches_permutation_oracle(self, n):
+        # skewed, shifted and collinear (singular-scatter) clouds
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            xs = rng.normal(size=(n, 2)) @ rng.normal(size=(2, 2)) + rng.normal(scale=4.0, size=2)
+            ys = rng.exponential(size=(n, 2)) + rng.normal(scale=4.0, size=2)
+            flat = np.column_stack([ys[:, 0], 2.0 * ys[:, 0]])
+            for dst in (ys, flat):
+                _, dist = discrete_ot(DiscreteMeasure(xs), DiscreteMeasure(dst))
+                best = min(np.sum((xs - dst[list(perm)]) ** 2)
+                           for perm in itertools.permutations(range(n))) / n
+                assert dist**2 == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_assignment_cost_equals_plain_solver(self):
+        rng = np.random.default_rng(41)
+        xs = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 3)) + 5.0
+        ys = rng.standard_t(3, size=(300, 3)) - 5.0
+        cost = cdist(xs, ys, "sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        _, dist = discrete_ot(DiscreteMeasure(xs), DiscreteMeasure(ys), assignment_cap=300)
+        assert dist**2 == pytest.approx(cost[rows, cols].mean(), rel=1e-12)
 
     def test_marginals_within_tolerance(self):
         rng = np.random.default_rng(30)
