@@ -20,13 +20,16 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ScheduleError
 from . import transport
+
+# models in population_barycenter's frozen evaluation pool
+EVAL_POOL_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -89,46 +92,39 @@ class ModelDistribution:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step sequence gamma_t = a / (t + c)^r, or an explicit sequence.
+    """Step sequence gamma_t = a / (t + c)^r.
 
     Stochastic descent requires a divergent step sum with convergent
-    squares; the rule form guarantees both exactly when r is in (1/2, 1].
-    Explicit sequences must declare the two flags.
+    squares (Robbins-Monro); both hold exactly when r is in (1/2, 1].
     """
 
     a: float = 1.0
     c: float = 0.0
     r: float = 1.0
-    explicit: Optional[tuple] = None
-    sum_diverges: bool = field(default=True)
-    sq_sum_converges: bool = field(default=True)
 
     def __post_init__(self):
-        if self.explicit is not None:
-            object.__setattr__(self, "explicit", tuple(float(g) for g in self.explicit))
-            if any(g <= 0.0 for g in self.explicit):
-                raise ScheduleError("explicit steps must be positive")
-        else:
-            if self.a <= 0.0 or self.c < 0.0:
-                raise ScheduleError("rule requires a > 0 and c >= 0")
-            diverges = self.r <= 1.0
-            sq_conv = self.r > 0.5
-            object.__setattr__(self, "sum_diverges", diverges)
-            object.__setattr__(self, "sq_sum_converges", sq_conv)
+        if self.a <= 0.0 or self.c < 0.0:
+            raise ScheduleError("a step schedule requires a > 0 and c >= 0")
+
+    @property
+    def sum_diverges(self) -> bool:
+        return self.r <= 1.0
+
+    @property
+    def sq_sum_converges(self) -> bool:
+        return self.r > 0.5
 
     def validate(self) -> "StepSchedule":
         if not self.sum_diverges:
-            raise ScheduleError("step sum must diverge (r <= 1 for the rule form)")
+            raise ScheduleError("step sum must diverge (r <= 1)")
         if not self.sq_sum_converges:
-            raise ScheduleError("squared steps must be summable (r > 1/2 for the rule form)")
+            raise ScheduleError("squared steps must be summable (r > 1/2)")
         return self
 
     def gamma(self, t: int) -> float:
         """Step at iteration t (1-based)."""
         if t < 1:
             raise ValueError("t must be >= 1")
-        if self.explicit is not None:
-            return self.explicit[min(t, len(self.explicit)) - 1]
         return self.a / (t + self.c) ** self.r
 
     @classmethod
@@ -321,21 +317,21 @@ def population_barycenter(
     mu0,
     rng: np.random.Generator,
     *,
-    eval_pool_size: int = 64,
     trace_every: int = 1,
 ):
     """Batch stochastic descent toward the population barycenter.
 
     Draws ``batch_size`` fresh models per step for ``iterations`` steps
-    with steps from a validated schedule. Risk and gradient norms along
-    the trace are Monte Carlo estimates against a pool of
-    ``eval_pool_size`` models frozen up front (comparable across
-    iterations); set ``trace_every=0`` to skip them.
+    with steps from a validated schedule, each capped at 1. Risk and
+    gradient norms along the trace are Monte Carlo estimates against a
+    pool of ``EVAL_POOL_SIZE`` models frozen up front (comparable across
+    iterations), recorded every ``trace_every`` steps and at the last;
+    ``trace_every=0`` draws no pool and records NaN for both.
     """
     schedule.validate()
     if iterations < 1 or batch_size < 1:
         raise ValueError("iterations and batch_size must be >= 1")
-    pool = [dist.draw(rng) for _ in range(eval_pool_size)] if trace_every else []
+    pool = [dist.draw(rng) for _ in range(EVAL_POOL_SIZE)] if trace_every else []
     trace = DescentTrace()
     mu = mu0
     t0 = time.perf_counter()

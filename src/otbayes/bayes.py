@@ -808,7 +808,6 @@ class BwbConfig:
     batch_size: int = 10
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     multistart_check: bool = False
-    residual_draws: int = 256
 
 
 @dataclass
@@ -874,13 +873,13 @@ def bwb_estimator(
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
-    residual = fixed_point_residual(model, dist, cfg.residual_draws, rng)
+    residual = fixed_point_residual(model, dist)
     diag = BwbDiagnostics(
         residual=residual,
         trace=trace,
         acceptance_rate=chain.acceptance_rate,
         converged=trace.converged,
         n_models=len(dist.support),
-        multistart_gap=gap if cfg.mode == "sgd" and cfg.multistart_check else None,
+        multistart_gap=gap,
     )
     return model, diag

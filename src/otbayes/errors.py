@@ -34,8 +34,8 @@ class QuadratureError(OtBayesError, RuntimeError):
 
 
 class SizeCapError(OtBayesError, ValueError):
-    """An exact discrete solve would exceed the configured size cap;
-    subsample the input clouds or raise the cap explicitly."""
+    """An exact discrete solve would exceed its size cap; subsample the
+    input clouds, or raise ``assignment_cap`` for an assignment."""
 
 
 class ScheduleError(OtBayesError, ValueError):

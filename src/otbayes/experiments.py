@@ -39,7 +39,7 @@ from .bayes import (
     model_average,
     posterior_models,
 )
-from .measures import DiscreteMeasure, Generator, experiment_covariance, make_ls_model, sample
+from .measures import Generator, experiment_covariance, make_ls_model, sample
 from . import transport
 
 METRICS = (
@@ -59,8 +59,9 @@ RECORD_COLUMNS = ("experiment", "n", "k", "S", "replication", "metric",
 # ---------------------------------------------------------------------------
 
 
-# fields of the removed random-walk sampler -> the ensemble fields to set
-_REPLACED_FIELDS = {"burn_in": "burn_sweeps", "thin": "thin_sweeps"}
+# removed config fields -> the fields to set instead: the random-walk
+# sampler's burn-in and thinning, and the mixture-cloud subsampling cap
+_REPLACED_FIELDS = {"burn_in": "burn_sweeps", "thin": "thin_sweeps", "ot_cap": "ot_samples"}
 
 
 @dataclass
@@ -91,7 +92,6 @@ class ExperimentConfig:
     sgd_pool: int = 1000
     # W2 estimation for mixtures
     ot_samples: int = 1000
-    ot_cap: int = 1024
     var_grad_reps: int = 200
     compare_n: int = 1000
 
@@ -129,8 +129,7 @@ class ExperimentConfig:
         raw = json.loads(text)
         for old, new in _REPLACED_FIELDS.items():
             if old in raw:
-                raise ValueError(f"config field {old!r} left with the random-walk sampler; "
-                                 f"set {new!r} (whole-ensemble sweeps) instead")
+                raise ValueError(f"config field {old!r} was removed; set {new!r}")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
@@ -485,13 +484,7 @@ def _compare_cell(args):
     def bma_to_truth(model, dist, m0, rng):
         cloud_m0 = sample(m0, cfg.ot_samples, rng)
         cloud_bma = sample(model_average(dist), cfg.ot_samples, rng)
-        if cfg.ot_samples > cfg.ot_cap:
-            warnings.warn("subsampling mixture clouds to the solver cap", RuntimeWarning)
-            idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
-            cloud_m0 = DiscreteMeasure(cloud_m0.points[np.sort(idx)])
-            idx = rng.choice(cfg.ot_samples, size=cfg.ot_cap, replace=False)
-            cloud_bma = DiscreteMeasure(cloud_bma.points[np.sort(idx)])
-        _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0, assignment_cap=cfg.ot_cap)
+        _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0, assignment_cap=cfg.ot_samples)
         return "W2sq_bma_to_truth", w_bma**2
 
     return _descent_cell(cfg, "compare_bma", n, rep, bma_to_truth)

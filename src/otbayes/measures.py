@@ -20,9 +20,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from .errors import MatrixNotPDError
 from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_psd
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -89,14 +88,13 @@ class GridQuantile:
         at least two of them.
     values : array-like
         Quantile values at the knots, nondecreasing.
-    extrapolate : bool
-        If True (default) the end segments extend linearly beyond the
-        first/last knot; otherwise the end values are held constant.
+
+    The end segments extend linearly beyond the first and last knot.
     """
 
-    __slots__ = ("knots", "values", "extrapolate")
+    __slots__ = ("knots", "values")
 
-    def __init__(self, knots, values, extrapolate: bool = True):
+    def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape:
@@ -111,12 +109,9 @@ class GridQuantile:
             raise ValueError("quantile values must be nondecreasing")
         self.knots = knots
         self.values = values
-        self.extrapolate = bool(extrapolate)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if not self.extrapolate:
-            return np.interp(u, self.knots, self.values)
         out = np.interp(u, self.knots, self.values)
         k, v = self.knots, self.values
         lo = u < k[0]
@@ -133,34 +128,31 @@ class GridQuantile:
         """Right-continuous CDF-style inverse of the grid.
 
         Flat stretches of the quantile map to the upper end of their level
-        interval; values outside the range follow the extrapolation rule.
+        interval; values outside the range follow the end segments.
         """
         x = np.asarray(x, dtype=float)
         k, v = self.knots, self.values
         u = np.interp(x, v, k)
-        if self.extrapolate:
-            lo = x < v[0]
-            hi = x > v[-1]
-            if np.any(lo):
-                slope = (v[1] - v[0]) / (k[1] - k[0])
-                if slope > 0:
-                    u = np.where(lo, k[0] + (x - v[0]) / slope, u)
-            if np.any(hi):
-                slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
-                if slope > 0:
-                    u = np.where(hi, k[-1] + (x - v[-1]) / slope, u)
+        lo = x < v[0]
+        hi = x > v[-1]
+        if np.any(lo):
+            slope = (v[1] - v[0]) / (k[1] - k[0])
+            if slope > 0:
+                u = np.where(lo, k[0] + (x - v[0]) / slope, u)
+        if np.any(hi):
+            slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
+            if slope > 0:
+                u = np.where(hi, k[-1] + (x - v[-1]) / slope, u)
         return np.clip(u, 0.0, 1.0)
 
     def to_dict(self):
-        return {
-            "levels": self.knots.tolist(),
-            "values": self.values.tolist(),
-            "extrapolate": self.extrapolate,
-        }
+        return {"levels": self.knots.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["levels"], d["values"], d.get("extrapolate", True))
+        if not d.get("extrapolate", True):
+            raise ValueError("'extrapolate': false was removed; grid ends always extend linearly")
+        return cls(d["levels"], d["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +491,10 @@ class GridUnivariate(UnivariateModel):
         core = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(k))
         left = v[0] * k[0]
         right = v[-1] * (1.0 - k[-1])
-        if self.grid.extrapolate:
-            s0 = (v[1] - v[0]) / (k[1] - k[0])
-            s1 = (v[-1] - v[-2]) / (k[-1] - k[-2])
-            left -= 0.5 * s0 * k[0] ** 2
-            right += 0.5 * s1 * (1.0 - k[-1]) ** 2
+        s0 = (v[1] - v[0]) / (k[1] - k[0])
+        s1 = (v[-1] - v[-2]) / (k[-1] - k[-2])
+        left -= 0.5 * s0 * k[0] ** 2
+        right += 0.5 * s1 * (1.0 - k[-1]) ** 2
         return float(core + left + right)
 
     def variance(self) -> float:
@@ -778,7 +769,8 @@ class Generator:
         """
         u = _check_prob(u)
         if all(isinstance(c, Normal) and c.loc == 0.0 and c.scale == 1.0 for c in self.coordinates):
-            return stats.chi.ppf(u, df=self.dimension)
+            # the chi quantile, as scipy.stats.chi computes it
+            return np.sqrt(2.0 * special.gammaincinv(0.5 * self.dimension, u))
         if self._radial is None:
             rng = np.random.Generator(np.random.Philox(0xC0FFEE))
             norms = np.sort(np.linalg.norm(self.sample(200_000, rng), axis=1))
@@ -830,17 +822,11 @@ class LocationScatterModel:
 
     def __init__(self, generator: Generator, location, scatter):
         location = np.asarray(location, dtype=float)
-        scatter = np.asarray(scatter, dtype=float)
         if location.shape != (generator.dimension,):
             raise ValueError("location length must match generator dimension")
-        vals = np.linalg.eigvalsh(0.5 * (scatter + scatter.T))
-        if not np.allclose(scatter, scatter.T, atol=1e-10, rtol=0.0):
-            raise ValueError("scatter must be symmetric within 1e-10")
-        if vals[0] <= 0.0:
-            raise MatrixNotPDError("scatter must be positive definite", smallest_eigenvalue=vals[0])
         self.generator = generator
         self.location = location
-        self.scatter = 0.5 * (scatter + scatter.T)
+        self.scatter = check_pd(scatter, name="scatter")
         self.scatter_sq = self.scatter @ self.scatter
 
     @classmethod
@@ -1071,18 +1057,6 @@ class RadialProfile:
             slope = (self.values[1] - self.values[0]) / (self.radii[1] - self.radii[0])
             out = np.where(lo, np.maximum(self.values[0] - slope * (self.radii[0] - r), 0.0), out)
         return out
-
-    def inverse(self, r, *, flat_tol: float = 1e-12):
-        """Inverse profile, merging flat segments below ``flat_tol``.
-
-        Raises if the profile is flat over its whole grid (non-invertible).
-        """
-        keep = np.concatenate([[True], np.diff(self.values) > flat_tol])
-        radii = self.radii[keep]
-        values = self.values[keep]
-        if values.size < 2:
-            raise ValueError("profile is not invertible on its grid (flat)")
-        return np.interp(np.asarray(r, dtype=float), values, radii)
 
     def to_dict(self):
         return {"radii": self.radii.tolist(), "values": self.values.tolist()}

@@ -27,7 +27,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial.distance import cdist
 
 from .errors import CompatibilityError, QuadratureError, SizeCapError
-from .linalg import inv_psd, sqrtm_psd
+from .linalg import check_symmetric, inv_psd, sqrtm_psd
 from .measures import (
     CopulaModel,
     DiscreteMeasure,
@@ -41,7 +41,7 @@ from .measures import (
 )
 
 DEFAULT_ASSIGNMENT_CAP = 512
-DEFAULT_LP_VARIABLE_CAP = 100_000
+LP_VARIABLE_CAP = 100_000
 
 _U_LO = 1e-300
 
@@ -105,12 +105,10 @@ class AffinePSDMap(TransportMap):
     __slots__ = ("matrix", "b1", "b2")
 
     def __init__(self, matrix, b1, b2):
-        matrix = np.asarray(matrix, dtype=float)
-        if not np.allclose(matrix, matrix.T, atol=1e-10, rtol=0.0):
-            raise ValueError("affine map matrix must be symmetric within 1e-10")
-        if np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0] < -1e-10:
+        matrix = check_symmetric(matrix, name="affine map matrix")
+        if np.linalg.eigvalsh(matrix)[0] < -1e-10:
             raise ValueError("affine map matrix must be PSD")
-        self.matrix = 0.5 * (matrix + matrix.T)
+        self.matrix = matrix
         self.b1 = np.asarray(b1, dtype=float)
         self.b2 = np.asarray(b2, dtype=float)
 
@@ -434,73 +432,25 @@ def _lp_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float):
     return plan, math.fsum(c[res.x > 1e-15] * res.x[res.x > 1e-15])
 
 
-def _sinkhorn_plan(src: DiscreteMeasure, dst: DiscreteMeasure, p: float,
-                   reg: float, max_iter: int = 5000, tol: float = 1e-11):
-    """Log-domain entropic solver; biased but scales past the exact caps."""
-    cost = _cost_matrix(src, dst, p)
-    log_a = np.log(src.weights)
-    log_b = np.log(dst.weights)
-    kern = -cost / reg
-    f = np.zeros(src.size)
-    g = np.zeros(dst.size)
-    from scipy.special import logsumexp
-
-    for _ in range(max_iter):
-        f_new = log_a - logsumexp(kern + g[None, :], axis=1)
-        g_new = log_b - logsumexp(kern + f_new[:, None], axis=0)
-        gap = np.max(np.abs(f_new - f)) if np.all(np.isfinite(f_new)) else np.inf
-        f, g = f_new, g_new
-        if gap < tol:
-            break
-    plan = np.exp(kern + f[:, None] + g[None, :])
-    # round onto the transport polytope: cap row/column scalings at one,
-    # then repair the residual with a rank-one correction
-    row_scale = np.minimum(src.weights / np.maximum(plan.sum(axis=1), 1e-300), 1.0)
-    plan = plan * row_scale[:, None]
-    col_scale = np.minimum(dst.weights / np.maximum(plan.sum(axis=0), 1e-300), 1.0)
-    plan = plan * col_scale[None, :]
-    err_r = src.weights - plan.sum(axis=1)
-    err_c = dst.weights - plan.sum(axis=0)
-    mass = err_r.sum()
-    if mass > 1e-300:
-        plan = plan + np.outer(err_r, err_c) / mass
-    total = math.fsum((plan * cost).ravel())
-    return coo_matrix(plan), total
-
-
 def discrete_ot(
     src: DiscreteMeasure,
     dst: DiscreteMeasure,
     p: float = 2.0,
     *,
-    method: str = "exact",
-    reg: float = 0.05,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    lp_variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
 ):
-    """Optimal coupling between two point clouds.
+    """Exact optimal coupling between two point clouds.
 
     Returns ``(CouplingPlan, distance)`` with ``distance = cost**(1/p)``.
-    With ``method='exact'`` (default), one-dimensional instances use the
-    sorted merge scan, uniform same-size clouds exact assignment (cap
-    ``assignment_cap`` points), anything else the transportation LP (cap
-    ``lp_variable_cap`` variables); caps exceeded raise
-    :class:`SizeCapError` suggesting subsampling. ``method='sinkhorn'``
-    opts into the entropy-regularized solver (strength ``reg``) for
-    clouds past the exact caps; its cost is biased upward by the
-    regularization and is never used where exactness matters.
+    One-dimensional instances use the sorted merge scan, uniform same-size
+    clouds exact assignment (at most ``assignment_cap`` points), anything
+    else the transportation LP (at most ``LP_VARIABLE_CAP`` variables); an
+    instance past its cap raises :class:`SizeCapError`.
     """
     if p < 1.0:
         raise ValueError("order p must be >= 1")
     if src.dimension != dst.dimension:
         raise ValueError("point clouds must share a dimension")
-    if method == "sinkhorn":
-        if reg <= 0.0:
-            raise ValueError("reg must be positive")
-        plan, cost = _sinkhorn_plan(src, dst, p, reg)
-        return CouplingPlan(src, dst, plan), max(cost, 0.0) ** (1.0 / p)
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
 
     if src.dimension == 1:
         plan, cost = _monotone_1d_plan(src, dst, p)
@@ -518,10 +468,10 @@ def discrete_ot(
                 )
             plan, cost = _assignment_plan(src, dst, p)
         else:
-            if src.size * dst.size > lp_variable_cap:
+            if src.size * dst.size > LP_VARIABLE_CAP:
                 raise SizeCapError(
                     f"LP instance with {src.size * dst.size} variables exceeds cap "
-                    f"{lp_variable_cap}; subsample the clouds or raise lp_variable_cap"
+                    f"{LP_VARIABLE_CAP}; subsample the clouds"
                 )
             plan, cost = _lp_plan(src, dst, p)
 

@@ -63,18 +63,11 @@ class TestStepSchedule:
         assert s.sum_diverges and s.sq_sum_converges
         assert s.gamma(1) == pytest.approx(2.0 / 4.0**0.75)
 
-    def test_explicit_sequence(self):
-        s = StepSchedule(explicit=(0.5, 0.25, 0.125))
-        s.validate()
-        assert s.gamma(2) == 0.25
-        assert s.gamma(99) == 0.125  # clamps to the last step
-        with pytest.raises(ScheduleError):
-            StepSchedule(explicit=(0.5, 0.0)).validate()
-
-    def test_explicit_flags_validated(self):
-        bad = StepSchedule(explicit=(0.5, 0.5), sq_sum_converges=False)
-        with pytest.raises(ScheduleError):
-            bad.validate()
+    def test_flags_are_read_from_the_exponent_only(self):
+        with pytest.raises(TypeError):
+            StepSchedule(r=0.75, sq_sum_converges=False)
+        assert not StepSchedule(r=0.5).sq_sum_converges
+        assert not StepSchedule(r=1.2).sum_diverges
 
 
 class TestGkStep:

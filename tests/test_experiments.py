@@ -38,7 +38,6 @@ TINY = ExperimentConfig(
     sgd_iterations=12,
     sgd_summary_from=6,
     ot_samples=64,
-    ot_cap=128,
     var_grad_reps=16,
     compare_n=40,
     seed=11,
@@ -61,7 +60,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json(json.dumps({"not_a_field": 1}))
 
-    @pytest.mark.parametrize("old, new", [("burn_in", "burn_sweeps"), ("thin", "thin_sweeps")])
+    @pytest.mark.parametrize("old, new", [("burn_in", "burn_sweeps"), ("thin", "thin_sweeps"),
+                                          ("ot_cap", "ot_samples")])
     def test_random_walk_fields_name_their_replacement(self, old, new):
         with pytest.raises(ValueError, match=f"'{old}'.*'{new}'"):
             ExperimentConfig.from_json(json.dumps({old: 10}))

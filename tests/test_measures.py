@@ -1,6 +1,10 @@
 """Distribution-family unit tests: closed forms against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import otbayes
 from otbayes import (
     DiscreteMeasure,
     Exponential,
@@ -104,6 +109,13 @@ class TestGridQuantile:
         g = GridQuantile([0.1, 0.4, 0.9], [-2.0, 0.5, 3.0])
         u = np.linspace(0.1, 0.9, 33)
         assert np.allclose(g.inverse(g(u)), u, atol=1e-12)
+
+    def test_removed_extrapolate_flag_is_refused(self):
+        payload = GridQuantile([0.2, 0.8], [0.0, 1.0]).to_dict()
+        assert "extrapolate" not in payload
+        assert GridQuantile.from_dict({**payload, "extrapolate": True})(0.9) == pytest.approx(7 / 6)
+        with pytest.raises(ValueError, match="extrapolate"):
+            GridQuantile.from_dict({**payload, "extrapolate": False})
 
     def test_grid_model_moments(self):
         # grid built from an exact normal should reproduce its moments
@@ -262,6 +274,22 @@ class TestGeneratorStandardization:
         assert np.allclose(v[:5], 1.0)
         assert np.allclose(v[5:10], 2.0)
         assert np.allclose(v[10:], 3.0)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 15])
+    def test_standard_normal_radius_is_the_chi_quantile(self, q):
+        u = np.concatenate([[1e-12, 1e-6], np.linspace(0.001, 0.999, 999), [1 - 1e-9]])
+        want = stats.chi.ppf(u, df=q)
+        assert np.array_equal(Generator.standard_normal(q).radial_quantile(u), want)
+        assert Generator.standard_normal(q).radial_quantile(0.5) == stats.chi.ppf(0.5, df=q)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(otbayes.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, otbayes; print(otbayes.__file__); print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout.split()
+        assert out == [otbayes.__file__, "False"]
 
     def test_product_density(self):
         gen = Generator(coordinates=[Normal(0, 1), Laplace(0, 1)])

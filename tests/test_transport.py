@@ -508,6 +508,10 @@ class TestDiscreteOt:
         big = DiscreteMeasure(rng.normal(size=(40, 2)))
         with pytest.raises(SizeCapError, match="subsampl"):
             discrete_ot(big, big, assignment_cap=16)
+        # unequal sizes take the LP, capped at LP_VARIABLE_CAP = 100 000 variables
+        with pytest.raises(SizeCapError, match="120000 variables.*subsampl"):
+            discrete_ot(DiscreteMeasure(rng.normal(size=(400, 2))),
+                        DiscreteMeasure(rng.normal(size=(300, 2))))
 
     def test_closed_form_ls_agreement(self):
         rng = np.random.default_rng(77)
@@ -539,21 +543,6 @@ class TestDiscreteOt:
                               DiscreteMeasure(c2.points[idx2]))[1]
             hits += abs(est - closed) / closed < 0.10
         assert hits >= 9
-
-    def test_sinkhorn_opt_in(self):
-        rng = np.random.default_rng(15)
-        src = DiscreteMeasure(rng.normal(size=(50, 2)))
-        dst = DiscreteMeasure(rng.normal(loc=1.0, size=(50, 2)))
-        _, exact = discrete_ot(src, dst)
-        plan, entropic = discrete_ot(src, dst, method="sinkhorn", reg=0.05)
-        # regularization biases the cost upward, mildly at this strength
-        assert exact <= entropic < 1.05 * exact
-        row = np.asarray(plan.plan.sum(axis=1)).ravel()
-        assert np.max(np.abs(row - src.weights)) < 1e-9
-        with pytest.raises(ValueError):
-            discrete_ot(src, dst, method="sinkhorn", reg=0.0)
-        with pytest.raises(ValueError):
-            discrete_ot(src, dst, method="entropic-ish")
 
     def test_plan_csv_export(self, tmp_path):
         src = DiscreteMeasure(np.array([[0.0], [2.0]]))
