@@ -72,7 +72,6 @@ from .barycenter import (
     gk_step,
     population_barycenter,
     risk,
-    sgd_step,
     variance_of_gradient_estimator,
 )
 from .bayes import (

@@ -47,6 +47,8 @@ class ModelDistribution:
     def __init__(self, support=None, weights=None, sampler: Optional[Callable] = None):
         if (support is None) == (sampler is None):
             raise ValueError("provide either a finite support or a sampler, not both")
+        if sampler is not None and weights is not None:
+            raise ValueError("weights apply to a finite support, not to a sampler")
         self.sampler = sampler
         if support is not None:
             support = list(support)
@@ -206,11 +208,6 @@ def gk_step(mu, dist: ModelDistribution, gamma: float, *, cross=None):
     return _row(mu, dist.support, dist.weights, cross).step(gamma)
 
 
-def sgd_step(mu, model, gamma: float):
-    """One stochastic step toward a single sampled model."""
-    return batch_sgd_step(mu, [model], gamma)
-
-
 def batch_sgd_step(mu, batch: Sequence, gamma: float):
     """One stochastic step toward the uniform average map of a batch."""
     if not batch:
@@ -240,21 +237,18 @@ def _grad_norm_sq(mu, models, weights=None, *, cross=None) -> float:
     return _row(mu, models, weights, cross).grad_norm_sq()
 
 
-def fixed_point_residual(mu_hat, dist: ModelDistribution, n_mc: int = 256,
-                         rng: Optional[np.random.Generator] = None) -> float:
+def fixed_point_residual(mu_hat, dist: ModelDistribution) -> float:
     """Distance of the averaged optimal map from the identity at mu_hat.
 
-    Zero exactly at a barycenter. For scatter-location models this is the
-    Frobenius gap ``|avg A - I|_F`` of the averaged linear parts; for the
-    other families it is the L2(mu_hat) norm of the averaged displacement.
-    Sampler-mode distributions are averaged over ``n_mc`` fresh draws.
+    Zero exactly at a barycenter of the finitely supported ``dist``. For
+    scatter-location models this is the Frobenius gap ``|avg A - I|_F`` of
+    the averaged linear parts; for the other families it is the
+    L2(mu_hat) norm of the averaged displacement. To check a population
+    barycenter, pass a finite sample of the population.
     """
-    models, weights = dist.support, dist.weights  # uniform weights when None
     if not dist.is_finite:
-        if rng is None:
-            raise ValueError("sampler-mode distributions need an rng")
-        models = [dist.draw(rng) for _ in range(n_mc)]
-    return _row(mu_hat, models, weights, None).residual()
+        raise ValueError("fixed_point_residual requires a finitely supported distribution")
+    return _row(mu_hat, dist.support, dist.weights, None).residual()
 
 
 # ---------------------------------------------------------------------------

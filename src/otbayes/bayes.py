@@ -23,7 +23,6 @@ from .barycenter import (
     DescentTrace,
     ModelDistribution,
     StepSchedule,
-    StopRule,
     empirical_barycenter,
     fixed_point_residual,
     population_barycenter,
@@ -731,7 +730,9 @@ class DensityTable:
         return float(vals)
 
 
-def _grid_eval(dist: ModelDistribution, grid, transform, combine):
+def _grid_average(dist: ModelDistribution, grid, name, transform, finish):
+    """The table of ``finish(sum_m transform(w_m, density_m))`` on the grid,
+    normalized by its integral."""
     if not dist.is_finite:
         raise ValueError("grid averages require finite support")
     axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
@@ -744,12 +745,12 @@ def _grid_eval(dist: ModelDistribution, grid, transform, combine):
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         shape = xx.shape
-    acc = None
-    for w, comp in zip(dist.weights, dist.support):
-        dens = np.asarray(comp.density(pts), dtype=float).reshape(shape)
-        term = transform(w, dens)
-        acc = term if acc is None else combine(acc, term)
-    return axes, acc
+    unnorm = finish(sum(transform(w, np.asarray(comp.density(pts), dtype=float).reshape(shape))
+                        for w, comp in zip(dist.weights, dist.support)))
+    z = DensityTable(axes, unnorm, 1.0).integral()
+    if z <= 0.0:
+        raise ValueError(f"{name} average vanishes on the grid")
+    return DensityTable(axes, unnorm / z, z)
 
 
 def exponential_model_average(dist: ModelDistribution, grid) -> DensityTable:
@@ -757,32 +758,16 @@ def exponential_model_average(dist: ModelDistribution, grid) -> DensityTable:
 
     Grid points where any component vanishes get zero density.
     """
-    axes, log_avg = _grid_eval(
-        dist, grid,
-        transform=lambda w, dens: w * np.log(np.where(dens > 0.0, dens, np.nan)),
-        combine=lambda a, b: a + b,
-    )
-    unnorm = np.exp(np.nan_to_num(log_avg, nan=-np.inf))
-    table = DensityTable(axes, unnorm, 1.0)
-    z = table.integral()
-    if z <= 0.0:
-        raise ValueError("exponential average vanishes on the grid")
-    return DensityTable(axes, unnorm / z, z)
+    return _grid_average(dist, grid, "exponential",
+                         lambda w, dens: w * np.log(np.where(dens > 0.0, dens, np.nan)),
+                         lambda log_avg: np.exp(np.nan_to_num(log_avg, nan=-np.inf)))
 
 
 def square_model_average(dist: ModelDistribution, grid) -> DensityTable:
     """Normalized square of the averaged root densities."""
-    axes, root_avg = _grid_eval(
-        dist, grid,
-        transform=lambda w, dens: w * np.sqrt(np.maximum(dens, 0.0)),
-        combine=lambda a, b: a + b,
-    )
-    unnorm = root_avg**2
-    table = DensityTable(axes, unnorm, 1.0)
-    z = table.integral()
-    if z <= 0.0:
-        raise ValueError("square average vanishes on the grid")
-    return DensityTable(axes, unnorm / z, z)
+    return _grid_average(dist, grid, "square",
+                         lambda w, dens: w * np.sqrt(np.maximum(dens, 0.0)),
+                         lambda root_avg: root_avg**2)
 
 
 # ---------------------------------------------------------------------------
@@ -795,15 +780,14 @@ class BwbConfig:
     """Estimator assembly settings.
 
     ``mode='empirical'`` computes the barycenter of k posterior draws by
-    deterministic descent; ``mode='sgd'`` streams chain draws through
-    batch stochastic descent.
+    plain fixed-point descent (unit steps, the default ``StopRule``);
+    ``mode='sgd'`` streams ``iterations * batch_size`` chain draws through
+    batch stochastic descent with steps 1/t, and ``multistart_check``
+    repeats that descent from a second start and reports the gap.
     """
 
     k: int = 500
     mode: str = "empirical"  # or "sgd"
-    gamma: float = 1.0
-    stop: StopRule = field(default_factory=StopRule)
-    schedule: StepSchedule = field(default_factory=StepSchedule.harmonic)
     iterations: int = 200
     batch_size: int = 10
     mcmc: McmcConfig = field(default_factory=McmcConfig)
@@ -844,7 +828,7 @@ def bwb_estimator(
 
     gap = None
     if cfg.mode == "empirical":
-        model, trace = empirical_barycenter(dist, cfg.gamma, cfg.stop)
+        model, trace = empirical_barycenter(dist)
     elif cfg.mode == "sgd":
         models = dist.support
         cursor = {"i": 0}
@@ -855,16 +839,13 @@ def bwb_estimator(
             return m
 
         stream_dist = ModelDistribution.from_sampler(stream)
+        steps = StepSchedule.harmonic()
         model, trace = population_barycenter(
-            stream_dist, cfg.schedule, cfg.iterations, cfg.batch_size, models[0], rng,
-            trace_every=0,
-        )
+            stream_dist, steps, cfg.iterations, cfg.batch_size, models[0], rng, trace_every=0)
         if cfg.multistart_check:
             cursor["i"] = 1
             model2, _ = population_barycenter(
-                stream_dist, cfg.schedule, cfg.iterations, cfg.batch_size, models[1], rng,
-                trace_every=0,
-            )
+                stream_dist, steps, cfg.iterations, cfg.batch_size, models[1], rng, trace_every=0)
             gap = transport.w2(model, model2)
             if gap > 0.1:
                 warnings.warn(

@@ -1,7 +1,8 @@
 """Experiment command line.
 
-Exit codes: 0 on success, 2 when any cell was flagged non-converged,
-1 on error.
+Exit codes: 0 on success, 1 on error or when any cell failed, 2 when
+no cell failed but some cell was flagged non-converged. The reports are
+written in every case but an error.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _execute(name, config_path, seed, out_dir, threads, scale):
         cfg = _load_config(config_path, seed, scale)
         click.echo(f"running {name} (seed={cfg.seed}, scale={scale}, threads={threads})")
         report = _RUNNERS[name](cfg, threads=threads)
-        paths = emit_report(report, "csv", out_dir)
+        paths = emit_report(report, out_dir)
     except Exception as exc:  # noqa: BLE001 - runtime failures must exit 1
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -70,7 +71,8 @@ def _execute(name, config_path, seed, out_dir, threads, scale):
         click.echo(f"{len(report.failed_cells)} cells failed", err=True)
     if report.nonconverged_cells:
         click.echo(f"{len(report.nonconverged_cells)} cells flagged non-converged", err=True)
-        sys.exit(2)
+    if report.failed_cells or report.nonconverged_cells:
+        sys.exit(1 if report.failed_cells else 2)
 
 
 @click.group()

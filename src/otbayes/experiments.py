@@ -17,7 +17,8 @@ import time
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -177,6 +178,10 @@ class ExperimentRecord:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
+# a record's fields in RECORD_COLUMNS order
+_record_values = attrgetter(*(f.name for f in fields(ExperimentRecord)))
+
+
 class ExperimentReport:
     """Long-format records plus grouped mean/std summaries."""
 
@@ -232,11 +237,10 @@ def _fmt(v) -> str:
 
 
 def _record_line(r: ExperimentRecord) -> str:
-    return ",".join([r.experiment, _fmt(r.n), _fmt(r.k), _fmt(r.s), _fmt(r.replication),
-                     r.metric, _fmt(r.value), _fmt(r.wall_ms), _fmt(r.seed)])
+    return ",".join(_fmt(v) for v in _record_values(r))
 
 
-def emit_report(report: ExperimentReport, fmt: str = "csv", out_dir: str = "results"):
+def emit_report(report: ExperimentReport, out_dir: str = "results"):
     """Write long-format and summary tables.
 
     ``records.csv`` holds every record, one ``records_<experiment>.csv``
@@ -244,58 +248,34 @@ def emit_report(report: ExperimentReport, fmt: str = "csv", out_dir: str = "resu
     ``report.json`` mirrors everything with the config and its hash.
     Returns the list of written paths.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
     os.makedirs(out_dir, exist_ok=True)
     report.sort()
     written = []
 
+    def write(name, lines):
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        written.append(path)
+
     header = ",".join(RECORD_COLUMNS)
-    if fmt == "csv":
-        path = os.path.join(out_dir, "records.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for r in report.records:
-                fh.write(_record_line(r) + "\n")
-        written.append(path)
-
-        for exp in sorted({r.experiment for r in report.records}):
-            path = os.path.join(out_dir, f"records_{exp}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-                for r in report.records:
-                    if r.experiment == exp:
-                        fh.write(_record_line(r) + "\n")
-            written.append(path)
-
-        path = os.path.join(out_dir, "summary.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("experiment,metric,n,k,S,mean,std,count\n")
-            for row in report.summary_rows():
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        written.append(path)
-
+    write("records.csv", [header] + [_record_line(r) for r in report.records])
+    for exp in sorted({r.experiment for r in report.records}):
+        write(f"records_{exp}.csv",
+              [header] + [_record_line(r) for r in report.records if r.experiment == exp])
+    rows = report.summary_rows()
+    summary_cols = ("experiment", "metric", "n", "k", "S", "mean", "std", "count")
+    write("summary.csv",
+          [",".join(summary_cols)] + [",".join(_fmt(v) for v in row) for row in rows])
     payload = {
         "config": json.loads(report.config.to_json()),
         "config_hash": report.config.config_hash(),
-        "records": [
-            {col: getattr(r, attr) for col, attr in zip(
-                RECORD_COLUMNS, ("experiment", "n", "k", "s", "replication",
-                                 "metric", "value", "wall_ms", "seed"))}
-            for r in report.records
-        ],
-        "summary": [
-            dict(zip(("experiment", "metric", "n", "k", "S", "mean", "std", "count"), row))
-            for row in report.summary_rows()
-        ],
+        "records": [dict(zip(RECORD_COLUMNS, _record_values(r))) for r in report.records],
+        "summary": [dict(zip(summary_cols, row)) for row in rows],
         "nonconverged_cells": [list(c) for c in report.nonconverged_cells],
         "failed_cells": [list(c) for c in report.failed_cells],
     }
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
+    write("report.json", [json.dumps(payload, indent=1, sort_keys=True)])
     return written
 
 
@@ -469,7 +449,7 @@ def _descent_cell(cfg: ExperimentConfig, experiment: str, n: int, rep: int, meas
 def _barycenter_cell(args):
     cfg, n, rep = args
     return _descent_cell(cfg, "barycenter", n, rep, lambda model, dist, m0, rng: (
-        "residual", fixed_point_residual(model, dist, rng=rng)))
+        "residual", fixed_point_residual(model, dist)))
 
 
 def run_barycenter_vs_truth(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:

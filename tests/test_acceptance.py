@@ -416,16 +416,15 @@ class TestCriterion2FixedPointResiduals:
 
     def test_every_computed_barycenter(self):
         t0 = time.perf_counter()
-        rng = np.random.default_rng(2)
         checked = []
         for name, model, dist in self._dedicated_set():
-            checked.append((name, fixed_point_residual(model, dist, rng=rng)))
+            checked.append((name, fixed_point_residual(model, dist)))
         for entry in BARYCENTER_REGISTRY:
             if entry["residual"] is not None:
                 checked.append((entry["name"], entry["residual"]))
             elif entry["dist"] is not None:
                 checked.append((entry["name"],
-                                fixed_point_residual(entry["model"], entry["dist"], rng=rng)))
+                                fixed_point_residual(entry["model"], entry["dist"])))
         worst_name, worst = max(checked, key=lambda kv: kv[1])
         elapsed = time.perf_counter() - t0
         ok = worst < 5e-3 and elapsed < 30.0

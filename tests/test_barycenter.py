@@ -34,7 +34,6 @@ from otbayes import (
     make_ls_model,
     population_barycenter,
     risk,
-    sgd_step,
     variance_of_gradient_estimator,
     w2,
     w2_ls,
@@ -111,31 +110,31 @@ class TestGkStep:
 
 class TestSgdSteps:
     def test_full_step_jumps_to_sample(self):
-        out = sgd_step(Normal(0, 1), Laplace(2, 3), 1.0)
+        out = batch_sgd_step(Normal(0, 1), [Laplace(2, 3)], 1.0)
         assert isinstance(out, Laplace)
         assert out.loc == pytest.approx(2.0) and out.scale == pytest.approx(3.0)
 
     def test_zero_step_is_identity(self):
         mu = Normal(0, 1)
-        assert sgd_step(mu, Normal(9, 9), 0.0) is mu
+        assert batch_sgd_step(mu, [Normal(9, 9)], 0.0) is mu
 
     def test_ls_scalar_update(self):
         # one dim: A0^2 = 1, Am^2 = 9, gamma = 1/2 -> A1^2 = ((1+3)/2)^2 = 4
         gen = Generator.standard_normal(1)
         mu = make_ls_model(gen, [0.0], [[1.0]])
         m = make_ls_model(gen, [0.0], [[9.0]])
-        out = sgd_step(mu, m, 0.5)
+        out = batch_sgd_step(mu, [m], 0.5)
         assert out.scatter_sq[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_batch_size_one_equals_sgd(self):
         mu, m = Normal(0, 1), Normal(2, 2)
-        a = sgd_step(mu, m, 0.3)
+        a = batch_sgd_step(mu, [m], 0.3)
         b = batch_sgd_step(mu, [m], 0.3)
         assert a.loc == pytest.approx(b.loc) and a.scale == pytest.approx(b.scale)
 
     def test_degenerate_batch_equals_sgd(self):
         mu, m = Normal(0, 1), Normal(2, 2)
-        a = sgd_step(mu, m, 0.6)
+        a = batch_sgd_step(mu, [m], 0.6)
         b = batch_sgd_step(mu, [m, m, m], 0.6)
         assert a.loc == pytest.approx(b.loc) and a.scale == pytest.approx(b.scale)
 
@@ -235,8 +234,20 @@ class TestFixedPointResidual:
     def test_sampler_mode_uses_draws(self):
         rng = np.random.default_rng(3)
         dist = ModelDistribution.from_sampler(lambda r: Normal(r.normal(), 1.0))
-        res = fixed_point_residual(Normal(0, 1), dist, n_mc=4000, rng=rng)
+        res = fixed_point_residual(
+            Normal(0, 1), ModelDistribution(support=[dist.draw(rng) for _ in range(4000)]))
         assert res < 0.05  # mean displacement of N(theta,1) population at truth
+
+    def test_sampler_mode_is_rejected(self):
+        dist = ModelDistribution.from_sampler(lambda r: Normal(r.normal(), 1.0))
+        with pytest.raises(ValueError, match="requires a finitely supported distribution"):
+            fixed_point_residual(Normal(0, 1), dist)
+
+
+class TestModelDistribution:
+    def test_weights_with_a_sampler_are_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            ModelDistribution(sampler=lambda r: Normal(r.normal(), 1.0), weights=[1.0])
 
 
 class TestPopulationBarycenter:
@@ -255,7 +266,8 @@ class TestPopulationBarycenter:
         out, _ = population_barycenter(dist, StepSchedule.harmonic(), 2000, 8, Normal(5, 1), rng,
                                        trace_every=0)
         assert w2(out, Normal(0, 1)) < 0.05
-        assert fixed_point_residual(out, dist, n_mc=2000, rng=rng) < 5e-3
+        sample = ModelDistribution(support=[dist.draw(rng) for _ in range(2000)])
+        assert fixed_point_residual(out, sample) < 5e-3
 
     def test_mixed_family_iterate_stays_one_term_per_family(self):
         # fresh normal, Laplace, logistic and Gumbel draws each step: the
@@ -344,7 +356,7 @@ class TestRiskDescentInExpectation:
 
     def test_sgd_step_realizes_the_predicted_risk(self):
         # the package step must match the hand-computed location update
-        out = sgd_step(Normal(0.5, 1.0), Normal(2.0, 1.0), 0.1)
+        out = batch_sgd_step(Normal(0.5, 1.0), [Normal(2.0, 1.0)], 0.1)
         assert out.loc == pytest.approx(0.5 + 0.1 * 1.5, abs=1e-12)
         assert out.scale == pytest.approx(1.0, abs=1e-12)
 

@@ -249,6 +249,42 @@ class TestEveryKnobIsRead:
             self._run(replace(McmcConfig(), init=init))
 
 
+class TestEveryBwbFieldIsRead:
+    """No estimator setting is silently ignored: each field of BwbConfig,
+    moved alone off its base, changes the model or the diagnostics. The
+    sgd fields move off an sgd-mode base."""
+
+    MOVED = {
+        "k": 12,
+        "mode": "sgd",
+        "mcmc": McmcConfig(burn_sweeps=199),
+        "iterations": 21,
+        "batch_size": 3,
+        "multistart_check": True,
+    }
+    SGD_FIELDS = ("iterations", "batch_size", "multistart_check")
+
+    @staticmethod
+    def _run(cfg):
+        prior = ParamPrior(1, fixed_covariance=np.eye(1))
+        data = Dataset(np.random.default_rng(0).normal(size=(10, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model, diag = bwb_estimator(prior, data, cfg, np.random.default_rng(1),
+                                        Generator.standard_normal(1))
+        return (model.location.tolist(), model.scatter.tolist(), diag.residual,
+                diag.n_models, len(diag.trace), diag.multistart_gap)
+
+    def test_each_field_changes_the_estimate(self):
+        assert {f.name for f in fields(BwbConfig)} == set(self.MOVED)
+        bases = {"empirical": BwbConfig(k=10),
+                 "sgd": BwbConfig(k=10, mode="sgd", iterations=20, batch_size=2)}
+        outputs = {mode: self._run(cfg) for mode, cfg in bases.items()}
+        for name, value in self.MOVED.items():
+            mode = "sgd" if name in self.SGD_FIELDS else "empirical"
+            assert self._run(replace(bases[mode], **{name: value})) != outputs[mode], name
+
+
 class TestPosteriorModels:
     def test_single_draw_point_mass(self):
         rng = np.random.default_rng(0)
@@ -415,6 +451,16 @@ class TestGridAverages:
         # any point where one component vanishes must carry zero density
         assert np.all(table.values[grid[0] < 0.5] == 0.0)
         assert table.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+    @pytest.mark.parametrize("average", [exponential_model_average, square_model_average])
+    def test_underflow_everywhere_raises(self, average):
+        # every component density is exactly 0 this far into the tail
+        gen = Generator.standard_normal(1)
+        dist = ModelDistribution(support=[make_ls_model(gen, [0.0], [[1.0]]),
+                                          make_ls_model(gen, [1.0], [[1.0]])])
+        with pytest.raises(ValueError, match="average vanishes on the grid"):
+            average(dist, (np.linspace(99.0, 101.0, 21),))
 
 
 class TestConvexOrderAgainstModelAverage:

@@ -107,7 +107,7 @@ class TestRngStreams:
 class TestReportPlumbing:
     def test_empty_report_header_only(self, tmp_path):
         report = ExperimentReport(TINY)
-        paths = emit_report(report, "csv", str(tmp_path))
+        paths = emit_report(report, str(tmp_path))
         text = (tmp_path / "records.csv").read_text()
         assert text == "experiment,n,k,S,replication,metric,value,wall_ms,seed\n"
         assert (tmp_path / "report.json").exists()
@@ -125,7 +125,7 @@ class TestReportPlumbing:
                 "consistency", 10 * (i % 3 + 1), 5, None, i, "W2sq_post_to_truth",
                 float(rng.normal()) * 10.0 ** float(rng.integers(-8, 8)),
                 float(rng.uniform(0, 50)), i))
-        emit_report(report, "csv", str(tmp_path))
+        emit_report(report, str(tmp_path))
         clone = read_records_csv(tmp_path / "records.csv")
         report.sort()
         assert clone == report.records
@@ -143,7 +143,7 @@ class TestReportPlumbing:
 
     def test_json_mirror_contains_config_hash(self, tmp_path):
         report = ExperimentReport(TINY)
-        emit_report(report, "json", str(tmp_path))
+        emit_report(report, str(tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config_hash"] == TINY.config_hash()
         assert payload["config"]["dimension"] == TINY.dimension
@@ -306,3 +306,18 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli_mod.main, ["sgd", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    def test_failed_cell_exits_one(self, tmp_path, monkeypatch):
+        import otbayes.cli as cli_mod
+
+        def fake_runner(cfg, threads=1):
+            report = ExperimentReport(cfg)
+            report.failed_cells.append((10, 5, 1, "boom"))
+            report.nonconverged_cells.append((10, 5, 0))
+            return report
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "sgd", fake_runner)
+        runner = CliRunner()
+        result = runner.invoke(cli_mod.main, ["sgd", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert (tmp_path / "o" / "records.csv").exists()
