@@ -303,6 +303,14 @@ def empirical_barycenter(
     return mu, trace
 
 
+def _distinct(models):
+    """The distinct ``models`` by identity, in order of first appearance,
+    and each entry's index among them."""
+    first = {}
+    index = np.array([first.setdefault(id(m), len(first)) for m in models], dtype=int)
+    return list({id(m): m for m in models}.values()), index
+
+
 def population_barycenter(
     dist: ModelDistribution,
     schedule: StepSchedule,
@@ -320,12 +328,16 @@ def population_barycenter(
     gradient norms along the trace are Monte Carlo estimates against a
     pool of ``EVAL_POOL_SIZE`` models frozen up front (comparable across
     iterations), recorded every ``trace_every`` steps and at the last;
-    ``trace_every=0`` draws no pool and records NaN for both.
+    ``trace_every=0`` draws no pool and records NaN for both. Each traced
+    step builds one family row over the pool's distinct members, weighted
+    by their multiplicities.
     """
     schedule.validate()
     if iterations < 1 or batch_size < 1:
         raise ValueError("iterations and batch_size must be >= 1")
-    pool = [dist.draw(rng) for _ in range(EVAL_POOL_SIZE)] if trace_every else []
+    drawn = [dist.draw(rng) for _ in range(EVAL_POOL_SIZE)] if trace_every else []
+    pool, index = _distinct(drawn)
+    pool_weights = np.bincount(index) / EVAL_POOL_SIZE
     trace = DescentTrace()
     mu = mu0
     t0 = time.perf_counter()
@@ -334,7 +346,9 @@ def population_barycenter(
         batch = [dist.draw(rng) for _ in range(batch_size)]
         mu = batch_sgd_step(mu, batch, gamma)
         if trace_every and (t % trace_every == 0 or t == iterations):
-            trace.record(t, gamma, risk(mu, pool), _grad_norm_sq(mu, pool),
+            cross = _row(mu, pool, pool_weights, None)
+            trace.record(t, gamma, risk(mu, pool, cross=cross),
+                         _grad_norm_sq(mu, pool, cross=cross),
                          1e3 * (time.perf_counter() - t0))
         elif not trace_every:
             trace.record(t, gamma, None, None, 1e3 * (time.perf_counter() - t0))
@@ -355,6 +369,11 @@ def variance_of_gradient_estimator(
     Each rep draws a fresh batch, forms the averaged displacement map and
     evaluates it on one shared sample from mu; the estimator variance is
     the functional sample variance across reps. Scales like 1/batch_size.
+
+    Every batch is drawn before any map is formed (a finite support in
+    one ``choice`` call, which reads the stream as ``reps * batch_size``
+    draws would), and one family row over the distinct drawn models
+    gives each rep's averaged map by index.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -363,10 +382,16 @@ def variance_of_gradient_estimator(
                       RuntimeWarning, stacklevel=2)
     x = np.asarray(mu.sample(n_points, rng), dtype=float)
     x2d = x.reshape(x.shape[0], -1)
+    if dist.is_finite:
+        picks = rng.choice(len(dist.support), size=reps * batch_size, p=dist.weights)
+        drawn = [dist.support[i] for i in picks]
+    else:
+        drawn = [dist.sampler(rng) for _ in range(reps * batch_size)]
+    models, index = _distinct(drawn)
+    row = _row(mu, models, None, None)
     disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
-    for r in range(reps):
-        batch = [dist.draw(rng) for _ in range(batch_size)]
-        tx = np.asarray(transport.averaged_map(mu, batch)(x), dtype=float)
+    for r, batch in enumerate(index.reshape(reps, batch_size)):
+        tx = np.asarray(row.batch_map(batch)(x), dtype=float)
         disp[r] = tx.reshape(x2d.shape) - x2d
     dbar = disp.mean(axis=0)
     dev = disp - dbar

@@ -19,7 +19,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -182,6 +182,18 @@ class ExperimentRecord:
 _record_values = attrgetter(*(f.name for f in fields(ExperimentRecord)))
 
 
+def _column_parser(kind):
+    """Text to a value of field type ``kind``; '' reads as None for ``Optional[X]``."""
+    args = get_args(kind)
+    if type(None) not in args:
+        return kind
+    return lambda text: args[0](text) if text else None
+
+
+# one parser per column, in RECORD_COLUMNS order
+_record_parsers = tuple(_column_parser(kind) for kind in get_type_hints(ExperimentRecord).values())
+
+
 class ExperimentReport:
     """Long-format records plus grouped mean/std summaries."""
 
@@ -288,16 +300,7 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         for line in fh:
             parts = line.rstrip("\n").split(",")
             records.append(ExperimentRecord(
-                experiment=parts[0],
-                n=int(parts[1]),
-                k=int(parts[2]) if parts[2] else None,
-                s=int(parts[3]) if parts[3] else None,
-                replication=int(parts[4]),
-                metric=parts[5],
-                value=float(parts[6]),
-                wall_ms=float(parts[7]),
-                seed=int(parts[8]),
-            ))
+                *(parse(text) for parse, text in zip(_record_parsers, parts, strict=True))))
     return records
 
 

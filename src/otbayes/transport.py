@@ -488,8 +488,9 @@ class FamilyRow:
     and the closed-form pair ``w2`` / ``ot_map``. Over an iterate ``mu``
     and ``models`` (``weights`` uniform when None) it gives the per-model
     squared distances, the ``step(gamma)``, the squared norm of the
-    averaged displacement, the fixed-point residual and the averaged
-    map, without checking the models: :func:`family` does that."""
+    averaged displacement, the fixed-point residual, the averaged map
+    and the uniform average map of any batch of the models, without
+    checking the models: :func:`family` does that."""
 
     model_type: type
     shared = ""  # what the key holds, for the compatibility error
@@ -509,9 +510,21 @@ class FamilyRow:
         """L2(mu) norm of the averaged displacement."""
         return math.sqrt(max(self.grad_norm_sq(), 0.0))
 
+    @cached_property
+    def maps(self) -> list:
+        """Per-model optimal maps out of ``mu``."""
+        return [self.ot_map(self.mu, m) for m in self.models]
+
     def averaged_map(self) -> TransportMap:
         """``x -> sum_m w_m T_m(x)``, pointwise."""
-        return ConvexCombinationMap(self.weights, [self.ot_map(self.mu, m) for m in self.models])
+        return ConvexCombinationMap(self.weights, self.maps)
+
+    def batch_map(self, index) -> TransportMap:
+        """The averaged map of the batch ``[models[i] for i in index]``
+        with uniform weights, repeats counted, as a row over that batch
+        would give it."""
+        return ConvexCombinationMap(np.full(len(index), 1.0 / len(index)),
+                                    [self.maps[i] for i in index])
 
 
 class UnivariateRow(FamilyRow):
@@ -539,9 +552,9 @@ class LsCrossTerms(FamilyRow):
     and models ``L(A_m x + b_m)`` with ``S_m = A_m^2``, the cross terms
     ``C_m = (A0 S_m A0)^{1/2}`` come from one stacked :func:`sqrtm_psd`
     over the (k, q, q) array of ``A0 S_m A0``, checked matrix by matrix.
-    Distances, the averaged map and the descent step all read that one
-    result: ``cross_traces`` holds ``tr C_m`` and ``cross_mean`` holds
-    ``sum_m w_m C_m``.
+    Distances, the averaged maps and the descent step all read that one
+    result: ``roots`` holds the ``C_m``, ``cross_traces`` their traces and
+    ``cross_mean`` the sum ``sum_m w_m C_m``.
     """
 
     model_type, shared = LocationScatterModel, "generator"
@@ -554,12 +567,14 @@ class LsCrossTerms(FamilyRow):
         a0 = mu.scatter
         sq = np.stack([m.scatter_sq for m in models])
         self.sq_traces = np.trace(sq, axis1=1, axis2=2)
-        roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
+        self.roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
         self.locations = np.stack([m.location for m in models])
-        self.cross_traces = np.trace(roots, axis1=1, axis2=2)
+        self.cross_traces = np.trace(self.roots, axis1=1, axis2=2)
+
+    @cached_property
+    def cross_mean(self) -> np.ndarray:
         # summed model by model, in support order
-        roots *= self.weights[:, None, None]
-        self.cross_mean = np.sum(roots, axis=0)
+        return np.sum(self.roots * self.weights[:, None, None], axis=0)
 
     def w2_sq(self) -> np.ndarray:
         """Per-model ``|b0 - b_m|^2 + tr(S0 + S_m - 2 C_m)``, floored at 0."""
@@ -602,6 +617,14 @@ class LsCrossTerms(FamilyRow):
     def averaged_map(self) -> TransportMap:
         """The maps share ``b1 = mu.location``: their average is one affine map."""
         return AffinePSDMap(self.map_matrix, self.mu.location, self.mean_location)
+
+    def batch_map(self, index) -> TransportMap:
+        """One affine map from the batch's cross terms, summed as
+        ``cross_mean`` sums them, in batch order."""
+        w = np.full(len(index), 1.0 / len(index))
+        cross = np.sum(self.roots[index] * w[:, None, None], axis=0)
+        return AffinePSDMap(ls_map_matrix(self.scatter_inv, cross), self.mu.location,
+                            w @ self.locations[index])
 
 
 class SphericalRow(FamilyRow):

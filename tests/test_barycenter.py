@@ -127,10 +127,10 @@ class TestSgdSteps:
         assert out.scatter_sq[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_batch_size_one_equals_sgd(self):
-        mu, m = Normal(0, 1), Normal(2, 2)
-        a = batch_sgd_step(mu, [m], 0.3)
-        b = batch_sgd_step(mu, [m], 0.3)
-        assert a.loc == pytest.approx(b.loc) and a.scale == pytest.approx(b.scale)
+        # the single-model step averages quantiles: (1 - g) Q_mu + g Q_m
+        out = batch_sgd_step(Normal(0, 1), [Normal(2, 2)], 0.3)
+        assert out.loc == pytest.approx(0.6, abs=1e-12)
+        assert out.scale == pytest.approx(1.3, abs=1e-12)
 
     def test_degenerate_batch_equals_sgd(self):
         mu, m = Normal(0, 1), Normal(2, 2)

@@ -130,6 +130,20 @@ class TestReportPlumbing:
         report.sort()
         assert clone == report.records
 
+    def test_roundtrip_with_empty_k_and_s(self, tmp_path):
+        report = ExperimentReport(TINY)
+        report.extend([
+            ExperimentRecord("consistency", 10, 5, None, 0, "W2sq_post_to_truth", 0.25, 1.5, 3),
+            ExperimentRecord("sgd", 10, 7, 4, 1, "W2sq_bary_to_truth", 1e-300, 0.0, 2**62),
+            ExperimentRecord("sgd", 50, None, 4, 0, "var_grad", 3.0000000000000004, 2.0, 5),
+            ExperimentRecord("sgd", 50, None, None, 2, "residual", -0.0, 9.75, 0),
+        ])
+        emit_report(report, str(tmp_path))
+        clone = read_records_csv(tmp_path / "records.csv")
+        assert clone == report.records
+        assert [(r.k, r.s) for r in clone] == [(5, None), (7, 4), (None, 4), (None, None)]
+        assert all(type(r.k) is int for r in clone if r.k is not None)
+
     def test_summary_row_count(self, tmp_path):
         report = ExperimentReport(TINY)
         for n in TINY.n_grid:

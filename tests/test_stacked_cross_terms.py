@@ -1,6 +1,8 @@
 """The scatter-location cross terms (A0 S_m A0)^{1/2}: one stacked
 evaluation per iterate, checked against the per-model formulas it
-replaced, the invariances of the barycenter and the per-matrix checks."""
+replaced, the invariances of the barycenter and the per-matrix checks;
+one family row per gradient-variance estimate, checked against the
+per-repetition loop it replaced."""
 
 import math
 import warnings
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otbayes import (
+    CopulaModel,
     Generator,
+    IndependenceCopula,
     Laplace,
     LocationScatterModel,
     MatrixNotPDError,
@@ -25,12 +29,14 @@ from otbayes import (
     make_ls_model,
     ot_map,
     ot_map_ls,
+    RadialProfile,
+    SphericalModel,
     variance_of_gradient_estimator,
     w2_ls,
 )
 from otbayes.barycenter import _grad_norm_sq, risk
 from otbayes.linalg import EIG_FLOOR, sqrtm_psd
-from otbayes.transport import LsCrossTerms, averaged_map
+from otbayes.transport import LsCrossTerms, averaged_map, family
 
 TIGHT = StopRule(rel_tol=1e-13, max_iter=500)
 
@@ -242,6 +248,98 @@ class TestAveragedMap:
         got = LsCrossTerms(m0, models, np.full(50, 0.02)).w2_sq()
         want = np.array([w2_ls(m, m0) ** 2 for m in models])
         assert _rel(got, want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One family row per gradient-variance estimate
+# ---------------------------------------------------------------------------
+
+
+def _loop_variance_of_gradient_estimator(mu, dist, batch_size, reps, rng, n_points):
+    """The estimator as it read with one family row per repetition."""
+    x = np.asarray(mu.sample(n_points, rng), dtype=float)
+    x2d = x.reshape(x.shape[0], -1)
+    disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
+    for r in range(reps):
+        batch = [dist.draw(rng) for _ in range(batch_size)]
+        tx = np.asarray(averaged_map(mu, batch)(x), dtype=float)
+        disp[r] = tx.reshape(x2d.shape) - x2d
+    dev = disp - disp.mean(axis=0)
+    return float(np.sum(dev * dev) / (reps - 1) / x2d.shape[0])
+
+
+def _univariate_model(r):
+    loc, scale = r.normal(), math.exp(0.3 * r.normal())
+    return Normal(loc, scale) if r.uniform() < 0.5 else Laplace(loc, scale)
+
+
+def _spherical_cloud(rng, k):
+    gen = Generator.standard_normal(2)
+    out = []
+    for _ in range(k):
+        r = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 8.0, size=6))])
+        out.append(SphericalModel(gen, RadialProfile(r, rng.uniform(0.5, 2.0) * r + 0.05 * r**2)))
+    return out
+
+
+def _row_clouds():
+    """(mu, models, points) for every family of the table."""
+    rng = np.random.default_rng(12)
+    ls = _cloud(rng, Generator.standard_normal(3), 6)
+    uni = [_univariate_model(rng) for _ in range(6)]
+    cop = [CopulaModel(IndependenceCopula(), [_univariate_model(rng), _univariate_model(rng)])
+           for _ in range(6)]
+    sph = _spherical_cloud(rng, 6)
+    return [(ls[0], ls[1:], rng.normal(size=(40, 3))),
+            (uni[0], uni[1:], rng.normal(size=40)),
+            (cop[0], cop[1:], rng.normal(size=(40, 2))),
+            (sph[0], sph[1:], rng.normal(size=(40, 2)))]
+
+
+@pytest.mark.filterwarnings("ignore:fewer than 200 reps")
+class TestOneRowPerVarianceEstimate:
+    @staticmethod
+    def _check_equals_loop(mu, dist, batch_size, reps, seed, n_points=64):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = variance_of_gradient_estimator(mu, dist, batch_size, reps, rng,
+                                             n_points=n_points)
+        want = _loop_variance_of_gradient_estimator(mu, dist, batch_size, reps, ref_rng,
+                                                    n_points)
+        assert got == want
+        # the stream is left where the loop leaves it
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 20])
+    def test_finite_scatter_location_support_with_repeated_draws(self, batch_size):
+        rng = np.random.default_rng(20 + batch_size)
+        gen = Generator.standard_normal(3)
+        weights = rng.dirichlet(np.ones(5))
+        dist = ModelDistribution(support=_cloud(rng, gen, 5), weights=weights / weights.sum())
+        mu = make_ls_model(gen, rng.normal(size=3), _random_scatter(rng, 3))
+        self._check_equals_loop(mu, dist, batch_size, 12, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_finite_univariate_support(self, batch_size):
+        rng = np.random.default_rng(30 + batch_size)
+        dist = ModelDistribution(support=[_univariate_model(rng) for _ in range(4)])
+        self._check_equals_loop(Normal(0.2, 1.3), dist, batch_size, 10, batch_size)
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["pooled", "fresh"])
+    def test_sampler(self, fresh):
+        rng = np.random.default_rng(40)
+        gen = Generator.standard_normal(2)
+        pool = _cloud(rng, gen, 3)
+        draw = (lambda r: make_ls_model(gen, r.normal(size=2), _random_scatter(r, 2))) if fresh \
+            else (lambda r: pool[r.integers(len(pool))])
+        self._check_equals_loop(pool[0], ModelDistribution.from_sampler(draw), 4, 8, 41)
+
+    @pytest.mark.parametrize("case", range(4), ids=["ls", "univariate", "copula", "spherical"])
+    def test_batch_map_equals_the_averaged_map_of_the_batch(self, case):
+        mu, models, x = _row_clouds()[case]
+        row = family(mu, *models)(mu, models)
+        for index in ([3], [0, 4], [2, 0, 2, 4, 2]):
+            want = averaged_map(mu, [models[i] for i in index])(x)
+            assert np.array_equal(row.batch_map(np.array(index))(x), want)
 
 
 # ---------------------------------------------------------------------------
