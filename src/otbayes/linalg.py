@@ -32,42 +32,80 @@ def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix")
     mat_t = np.swapaxes(mat, -1, -2)
     # one work array: a stack of k matrices is several MB at k = 500
     work = np.subtract(mat, mat_t)
-    if not np.all(np.abs(work, out=work) <= tol):
+    if not (np.abs(work, out=work) <= tol).all():
         raise ValueError(f"{name} is not symmetric within {tol:g}")
     np.add(mat, mat_t, out=work)
     work *= 0.5
     return work
 
 
-def sqrtm_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
-    """Principal square root of a symmetric PSD matrix, or of each in a stack.
+def _checked_spectrum(mat: np.ndarray, name: str, definite: bool = False):
+    """``(sym, vals, vecs)``: the symmetrised ``mat`` (see
+    :func:`check_symmetric`) and its eigendecomposition, matrix by matrix.
 
-    Uses a symmetric eigendecomposition. Eigenvalues in ``[-EIG_FLOOR *
-    scale, EIG_FLOOR]`` are clamped to the floor with a warning; anything
-    more negative raises :class:`MatrixNotPDError`.
+    A smallest eigenvalue below ``-SYM_TOL * scale`` (``scale`` the largest
+    magnitude, at least 1) raises :class:`MatrixNotPDError`; so does one
+    at or below 0 when ``definite``. Eigenvalues below ``EIG_FLOOR`` are
+    then clamped to it with a warning (see :func:`clamp_spectrum`).
     """
     mat = check_symmetric(mat, name=name)
     vals, vecs = np.linalg.eigh(mat)
     low = vals[..., 0]
-    scale = np.maximum(np.abs(vals[..., -1]), 1.0)
-    bad = low < -SYM_TOL * scale
-    if np.any(bad):
-        raise MatrixNotPDError(f"{name}{_stack_note(bad)} is not positive semidefinite",
+    bad = low <= 0.0
+    if bad.any() and not definite:
+        bad &= low < -SYM_TOL * np.maximum(np.abs(vals[..., -1]), 1.0)
+    if bad.any():
+        what = "positive definite" if definite else "positive semidefinite"
+        raise MatrixNotPDError(f"{name}{_stack_note(bad)} is not {what}",
                                smallest_eigenvalue=float(np.min(low[bad])))
-    vals = clamp_spectrum(vals, low, name=name)
+    return mat, clamp_spectrum(vals, low, name=name, stacklevel=4), vecs
+
+
+def sqrtm_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
+    """Principal square root of a symmetric PSD matrix, or of each in a stack.
+
+    Uses a symmetric eigendecomposition. Eigenvalues in ``[-SYM_TOL *
+    scale, EIG_FLOOR]`` are clamped to the floor with a warning; anything
+    more negative raises :class:`MatrixNotPDError`.
+    """
+    mat, vals, vecs = _checked_spectrum(mat, name)
     return np.matmul(vecs * np.sqrt(vals)[..., None, :], np.swapaxes(vecs, -1, -2), out=mat)
 
 
-def clamp_spectrum(vals: np.ndarray, low: np.ndarray, *, name: str = "matrix") -> np.ndarray:
+def sqrtm_inv_psd(mat: np.ndarray, *, name: str = "matrix", definite: bool = False):
+    """``(A, A^{-1})`` for the principal square root A of a symmetric PSD
+    matrix, or of each in a stack, from one eigendecomposition ``V diag(l)
+    V^T``, checked and clamped as in :func:`sqrtm_psd`; with ``definite``
+    an eigenvalue at or below 0 raises instead.
+
+    ``A = V diag(sqrt l) V^T`` is symmetric up to rounding by
+    construction, and is returned symmetrised as :func:`check_symmetric`
+    symmetrises, so it is exactly symmetric; ``A^{-1} = V diag(1/sqrt l)
+    V^T``. The eigenvalues of A are the ``sqrt l``, at least
+    ``sqrt(EIG_FLOOR)`` after the clamp, so A is positive definite.
+    """
+    mat, vals, vecs = _checked_spectrum(mat, name, definite)
+    roots = np.sqrt(vals)
+    if not (roots[..., 0] > 0.0).all():
+        raise MatrixNotPDError(f"root of {name} is not positive definite",
+                               smallest_eigenvalue=float(np.min(roots[..., 0])))
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    root = np.matmul(vecs * roots[..., None, :], vecs_t, out=mat)
+    return 0.5 * (root + np.swapaxes(root, -1, -2)), (vecs / roots[..., None, :]) @ vecs_t
+
+
+def clamp_spectrum(vals: np.ndarray, low: np.ndarray, *, name: str = "matrix",
+                   stacklevel: int = 3) -> np.ndarray:
     """``vals`` raised to ``EIG_FLOOR``, with a warning, when any smallest
-    eigenvalue in ``low`` (one per matrix) falls below the floor."""
+    eigenvalue in ``low`` (one per matrix) falls below the floor. The
+    warning names the frame ``stacklevel`` calls up, as :func:`warnings.warn`."""
     clamped = low < EIG_FLOOR
-    if np.any(clamped):
+    if clamped.any():
         warnings.warn(
             f"{name}{_stack_note(clamped)}: eigenvalues below {EIG_FLOOR:g} clamped "
             f"(smallest {float(np.min(low)):.3e})",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         return np.maximum(vals, EIG_FLOOR)
     return vals
@@ -83,9 +121,7 @@ def check_pd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
 
 
 def inv_psd(mat: np.ndarray, *, name: str = "matrix") -> np.ndarray:
-    """Inverse through the same eigendecomposition/clamping path as sqrtm_psd."""
-    mat = check_symmetric(mat, name=name)
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] < EIG_FLOOR:
-        vals = np.maximum(vals, EIG_FLOOR)
-    return (vecs / vals) @ vecs.T
+    """Inverse of a symmetric PSD matrix, or of each in a stack, through
+    the checked and clamped spectrum of :func:`sqrtm_psd`."""
+    _, vals, vecs = _checked_spectrum(mat, name)
+    return (vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)

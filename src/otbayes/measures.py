@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_psd
+from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_inv_psd
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
@@ -815,19 +815,31 @@ class LocationScatterModel:
     (``transport.w2_ls``) is W2 only for a Gaussian generator or commuting
     scatters; for another standardized generator it is the Gelbrich lower
     bound, and for one that is not standardized a parameter-space distance.
+
+    ``scatter_inv`` (= A^{-1}) comes with the model when it was built from
+    an eigendecomposition (:func:`make_ls_model` and the descent step of
+    ``transport.LsCrossTerms``, through ``linalg.sqrtm_inv_psd``); a model
+    built any other way takes it once, by ``linalg.inv_psd``, on first use.
     """
 
     family = "location_scatter"
-    __slots__ = ("generator", "location", "scatter", "scatter_sq")
+    __slots__ = ("generator", "location", "scatter", "scatter_sq", "_scatter_inv")
 
     def __init__(self, generator: Generator, location, scatter):
-        location = np.asarray(location, dtype=float)
-        if location.shape != (generator.dimension,):
-            raise ValueError("location length must match generator dimension")
         self.generator = generator
-        self.location = location
+        self.location = _checked_location(generator, location)
         self.scatter = check_pd(scatter, name="scatter")
         self.scatter_sq = self.scatter @ self.scatter
+        self._scatter_inv = None
+
+    @classmethod
+    def _built(cls, generator: Generator, location, scatter, scatter_sq, scatter_inv=None):
+        """A model from parts that are already checked, or symmetric PD by
+        construction, without checking them again."""
+        model = object.__new__(cls)
+        model.generator, model.location = generator, location
+        model.scatter, model.scatter_sq, model._scatter_inv = scatter, scatter_sq, scatter_inv
+        return model
 
     @classmethod
     def _from_stack(cls, generator: Generator, locations, scatters):
@@ -845,13 +857,14 @@ class LocationScatterModel:
         sym = 0.5 * (scatters + flipped)
         ok &= np.linalg.eigvalsh(sym)[:, 0] > 0.0
         sym = sym[ok]
-        models = []
-        for location, scatter, scatter_sq in zip(locations[ok], sym, sym @ sym):
-            model = object.__new__(cls)
-            model.generator, model.location = generator, location
-            model.scatter, model.scatter_sq = scatter, scatter_sq
-            models.append(model)
-        return models
+        return [cls._built(generator, location, scatter, scatter_sq)
+                for location, scatter, scatter_sq in zip(locations[ok], sym, sym @ sym)]
+
+    @property
+    def scatter_inv(self) -> np.ndarray:
+        if self._scatter_inv is None:
+            self._scatter_inv = inv_psd(self.scatter, name="scatter")
+        return self._scatter_inv
 
     @property
     def dimension(self) -> int:
@@ -871,8 +884,7 @@ class LocationScatterModel:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a_inv = inv_psd(self.scatter)
-        z = (x - self.location) @ a_inv
+        z = (x - self.location) @ self.scatter_inv
         sign, logdet = np.linalg.slogdet(self.scatter)
         return self.generator.log_density(z) - logdet
 
@@ -894,16 +906,25 @@ class LocationScatterModel:
         }
 
 
+def _checked_location(generator: Generator, location) -> np.ndarray:
+    location = np.asarray(location, dtype=float)
+    if location.shape != (generator.dimension,):
+        raise ValueError("location length must match generator dimension")
+    return location
+
+
 def make_ls_model(gen: Generator, b, sigma) -> LocationScatterModel:
     """Scatter-location model from a covariance-style parameter.
 
     ``sigma`` must be symmetric positive definite; the stored scatter is
-    its principal PSD square root.
+    its principal PSD square root. One eigendecomposition of sigma checks
+    it and gives both the scatter and its inverse.
     """
-    sigma = check_pd(np.asarray(sigma, dtype=float), name="sigma")
-    if sigma.shape != (gen.dimension, gen.dimension):
+    scatter, scatter_inv = sqrtm_inv_psd(sigma, name="sigma", definite=True)
+    if scatter.shape != (gen.dimension, gen.dimension):
         raise ValueError("sigma dimension must match generator dimension")
-    return LocationScatterModel(gen, b, sqrtm_psd(sigma, name="sigma"))
+    return LocationScatterModel._built(gen, _checked_location(gen, b), scatter,
+                                       scatter @ scatter, scatter_inv)
 
 
 def _kernel_grid(q: int) -> np.ndarray:

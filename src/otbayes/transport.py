@@ -27,7 +27,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial.distance import cdist
 
 from .errors import CompatibilityError, QuadratureError, SizeCapError
-from .linalg import check_symmetric, inv_psd, sqrtm_psd
+from .linalg import check_symmetric, sqrtm_inv_psd, sqrtm_psd
 from .measures import (
     CopulaModel,
     DiscreteMeasure,
@@ -553,8 +553,14 @@ class LsCrossTerms(FamilyRow):
     ``C_m = (A0 S_m A0)^{1/2}`` come from one stacked :func:`sqrtm_psd`
     over the (k, q, q) array of ``A0 S_m A0``, checked matrix by matrix.
     Distances, the averaged maps and the descent step all read that one
-    result: ``roots`` holds the ``C_m``, ``cross_traces`` their traces and
-    ``cross_mean`` the sum ``sum_m w_m C_m``.
+    result: ``roots`` holds the ``C_m``, ``sq_traces`` the traces of the
+    ``S_m`` and ``cross_mean`` the sum ``sum_m w_m C_m``; the traces of
+    the ``C_m``, which only distances need, are taken in :meth:`w2_sq`.
+    ``A0^{-1}`` is the iterate's ``mu.scatter_inv``.
+
+    The step decomposes the new ``A1^2`` once (:func:`sqrtm_inv_psd`):
+    that gives ``A1`` and the ``A1^{-1}`` the next iterate's row reads, so
+    a batch of S models costs S + 1 eigendecompositions per step.
     """
 
     model_type, shared = LocationScatterModel, "generator"
@@ -566,10 +572,10 @@ class LsCrossTerms(FamilyRow):
         super().__init__(mu, models, weights)
         a0 = mu.scatter
         sq = np.stack([m.scatter_sq for m in models])
+        # taken before sq is overwritten: restacking k models later costs more
         self.sq_traces = np.trace(sq, axis1=1, axis2=2)
         self.roots = sqrtm_psd(np.matmul(a0 @ sq, a0, out=sq), name="cross term")
         self.locations = np.stack([m.location for m in models])
-        self.cross_traces = np.trace(self.roots, axis1=1, axis2=2)
 
     @cached_property
     def cross_mean(self) -> np.ndarray:
@@ -580,17 +586,14 @@ class LsCrossTerms(FamilyRow):
         """Per-model ``|b0 - b_m|^2 + tr(S0 + S_m - 2 C_m)``, floored at 0."""
         gap = self.locations - self.mu.location
         d2 = np.sum(gap * gap, axis=1)
-        d2 += np.trace(self.mu.scatter_sq) + self.sq_traces - 2.0 * self.cross_traces
+        cross_traces = np.trace(self.roots, axis1=1, axis2=2)
+        d2 += np.trace(self.mu.scatter_sq) + self.sq_traces - 2.0 * cross_traces
         return np.maximum(d2, 0.0)
-
-    @cached_property
-    def scatter_inv(self) -> np.ndarray:
-        return inv_psd(self.mu.scatter)
 
     @cached_property
     def map_matrix(self) -> np.ndarray:
         """Linear part ``A0^{-1} (sum_m w_m C_m) A0^{-1}`` of the averaged map."""
-        return ls_map_matrix(self.scatter_inv, self.cross_mean)
+        return ls_map_matrix(self.mu.scatter_inv, self.cross_mean)
 
     @cached_property
     def mean_location(self) -> np.ndarray:
@@ -599,11 +602,13 @@ class LsCrossTerms(FamilyRow):
     def step(self, gamma):
         # A1^2 = A0^{-1} M^2 A0^{-1} with M = (1 - gamma) A0^2 + gamma sum lam C
         mu = self.mu
+        a0_inv = mu.scatter_inv
         mid = (1.0 - gamma) * mu.scatter_sq + gamma * self.cross_mean
-        new_sq = self.scatter_inv @ mid @ mid @ self.scatter_inv
+        new_sq = a0_inv @ mid @ mid @ a0_inv
         new_sq = 0.5 * (new_sq + new_sq.T)
         b = (1.0 - gamma) * mu.location + gamma * self.mean_location
-        return LocationScatterModel(mu.generator, b, sqrtm_psd(new_sq, name="updated scatter"))
+        scatter, scatter_inv = sqrtm_inv_psd(new_sq, name="updated scatter")
+        return LocationScatterModel._built(mu.generator, b, scatter, scatter @ scatter, scatter_inv)
 
     def grad_norm_sq(self) -> float:
         gap = self.map_matrix - np.eye(self.mu.dimension)
@@ -623,7 +628,7 @@ class LsCrossTerms(FamilyRow):
         ``cross_mean`` sums them, in batch order."""
         w = np.full(len(index), 1.0 / len(index))
         cross = np.sum(self.roots[index] * w[:, None, None], axis=0)
-        return AffinePSDMap(ls_map_matrix(self.scatter_inv, cross), self.mu.location,
+        return AffinePSDMap(ls_map_matrix(self.mu.scatter_inv, cross), self.mu.location,
                             w @ self.locations[index])
 
 

@@ -462,6 +462,32 @@ class TestStackChecks:
             others = sqrtm_psd(np.delete(stack, 9, axis=0))
         assert np.array_equal(others, np.delete(roots, 9, axis=0))
 
+    def _step_row(self, neg):
+        """A row whose step forms ``new_sq = diag(1, -neg, -neg)``: at
+        gamma = 1 from the identity, ``mid`` is the cross mean, and this
+        one squares to that."""
+        gen = Generator.standard_normal(3)
+        mu = LocationScatterModel(gen, np.zeros(3), np.eye(3))
+        row = LsCrossTerms(mu, [mu])
+        e = math.sqrt(neg)
+        row.cross_mean = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, e], [0.0, -e, 0.0]])
+        return row
+
+    def test_step_raises_on_an_updated_scatter_below_tolerance(self):
+        with pytest.raises(MatrixNotPDError, match="updated scatter is not positive semidefinite"):
+            self._step_row(1e-9).step(1.0)
+
+    def test_step_clamps_a_near_singular_updated_scatter_with_one_warning(self):
+        row = self._step_row(1e-11)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            new = row.step(1.0)
+        assert [str(w.message).split(":")[0] for w in caught] == ["updated scatter"]
+        assert "clamped" in str(caught[0].message)
+        assert np.array_equal(new.scatter, new.scatter.T)
+        assert np.linalg.eigvalsh(new.scatter)[0] == pytest.approx(math.sqrt(EIG_FLOOR), rel=1e-9)
+        assert np.max(np.abs(new.scatter_inv @ new.scatter - np.eye(3))) < 1e-9
+
     def test_near_singular_model_clamps_in_the_risk(self):
         rng = np.random.default_rng(1)
         gen = Generator.standard_normal(self.q)
