@@ -322,10 +322,19 @@ class _TransformedTarget:
     be 0 but for the rounding of xbar; that term keeps the sum as exact
     as the per-observation one when the data sit far from the origin.
     Nothing else cancels, because the data are centred. The other
-    coordinates R are whitened per state as ``scale Xc[R] + [(U h)_R |
-    (W d)_R] [U^T Xc ; 1]``, one (|R| x 3)(3 x n) product, and summed by
-    ``Generator.total_log_density`` in blocks of at most about 2^16
-    doubles.
+    coordinates R are whitened per state by one product, ``[W_R | (W
+    d)_R] [Xc ; 1]``, (|R| x (q + 1))((q + 1) x n); the rows ``[W_R | (W
+    d)_R]`` of all states are stacked once per call, from the W and W d
+    above, and a fixed covariance takes the same path with its one W.
+    The products are made in blocks of at most about 2^16 doubles, into
+    one workspace the target keeps, and
+    ``Generator._total_log_density_in_place`` scores each block where it
+    lies: each family's loc and scale are applied in place and its shape
+    sums its log-density in one pass, with the constant taken out of the
+    sum (``LocationScaleUnivariate._sum_logpdf0``). For t(nu) that pass
+    takes ``log(nu + z^2)`` in place of ``log1p(z^2 / nu)``, a numerical
+    shortcut: each term carries about 1e-16 more absolute error, the
+    rounding of a log near ``log nu`` for small z.
     """
 
     def __init__(self, prior: ParamPrior, data: Dataset, gen: Generator):
@@ -345,13 +354,15 @@ class _TransformedTarget:
         self._scale = np.array([gen.coordinates[j].scale for j in self._gauss])
         self._gauss_const = -data.n * np.sum(0.5 * _LOG_2PI + np.log(self._scale))
         self._rest_gen = Generator([gen.coordinates[j] for j in self._rest]) if self._rest.size else None
-        if self.has_cov_params:
-            self._xc_rest = np.ascontiguousarray(xc[self._rest])
-            self._xc1 = np.vstack([xc, np.ones(data.n)])
-        else:
+        self._xc1 = np.vstack([xc, np.ones(data.n)])
+        # one block's workspace, reused by every call: a fresh one would be
+        # mapped anew, page by page, on each
+        step = max(1, _BLOCK_DOUBLES // max(1, data.n * self._rest.size))
+        self._work = np.empty((step, self._rest.size, data.n))
+        if not self.has_cov_params:
             pd, whiten, log_det_a = _whitening(prior.fixed_covariance[None])
             # z = (x - b) @ whiten: coordinate j is whitened by row j of whiten^T
-            self._fixed = (pd[0], whiten[0].T, log_det_a[0], whiten[0].T[self._rest] @ xc)
+            self._fixed = (pd[0], whiten[0].T, log_det_a[0])
 
     def to_theta(self, phi: np.ndarray) -> np.ndarray:
         if not self.has_cov_params:
@@ -376,11 +387,10 @@ class _TransformedTarget:
             ok, scale, u, h, log_det_a = cosine_kernel_whitening(
                 q, eps[live], sigma[live], 1.0 / omega_inv[live])
             live, scale, u, log_det_a = live[ok], scale[ok], u[ok], log_det_a[ok]
-            uh, u_t = u * h[ok, None, :], np.swapaxes(u, 1, 2)
-            w = uh @ u_t
+            w = (u * h[ok, None, :]) @ np.swapaxes(u, 1, 2)
             w.reshape(-1, q * q)[:, ::q + 1] += scale[:, None]  # the diagonals
         else:
-            pd, w, log_det_a, w_xc = self._fixed
+            pd, w, log_det_a = self._fixed
             live = np.arange(thetas.shape[0] if pd else 0)
         # row j of w whitens coordinate j: z = w Xc + shift
         shift = (w @ (self._mean - thetas[live, :q])[..., None])[..., 0]
@@ -390,20 +400,15 @@ class _TransformedTarget:
         quad = np.sum(moments[..., :q] * w_g, axis=-1) + c * (2.0 * moments[..., q] + n * c)
         total = self._gauss_const - n * log_det_a - 0.5 * np.sum(quad / self._scale**2, axis=1)
         if self._rest_gen is not None:
-            shift = shift[:, self._rest, None]
-            if self.has_cov_params:
-                coef = np.concatenate([uh[:, self._rest], shift], axis=2)
-                lift = np.zeros((live.size, 3, q + 1))
-                lift[:, :2, :q], lift[:, 2, q] = u_t, 1.0
-            step = max(1, _BLOCK_DOUBLES // (n * self._rest.size))
+            # the rows [W | W d] of the coordinates R, one per state
+            rows = np.empty((live.size, self._rest.size, q + 1))
+            rows[..., :q] = w[..., self._rest, :]
+            rows[..., q] = shift[:, self._rest]
+            step = self._work.shape[0]
             for lo in range(0, live.size, step):
-                blk = slice(lo, lo + step)
-                if self.has_cov_params:
-                    z = coef[blk] @ (lift[blk] @ self._xc1)
-                    z += scale[blk, None, None] * self._xc_rest
-                else:
-                    z = w_xc + shift[blk]
-                total[blk] += self._rest_gen.total_log_density(z)
+                blk = rows[lo:lo + step]
+                z = np.matmul(blk, self._xc1, out=self._work[:len(blk)])
+                total[lo:lo + step] += self._rest_gen._total_log_density_in_place(z)
         out[live] = total
         out[~np.isfinite(out)] = -math.inf
         return out

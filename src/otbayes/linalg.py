@@ -25,7 +25,24 @@ def _stack_note(flags: np.ndarray) -> str:
     return f" (matrix {int(np.argmax(flags.ravel()))} of {flags.size}, {int(flags.sum())} flagged)"
 
 
+def symmetric_within(mat: np.ndarray, asym: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+    """Whether each matrix of a stack is symmetric: ``asym = |A - A^T|``
+    at most ``tol max(1, max |A|)``, the scale of the eigenvalue check in
+    :func:`sqrtm_psd`. The scale is taken only for matrices that fail
+    ``tol`` itself."""
+    stack = mat.shape[:-2]
+    mat, asym = mat.reshape(-1, *mat.shape[-2:]), asym.reshape(-1, *mat.shape[-2:])
+    ok = np.all(asym <= tol, axis=(1, 2))
+    bad = ~ok
+    if bad.any():
+        scale = np.maximum(np.max(np.abs(mat[bad]), axis=(1, 2)), 1.0)
+        ok[bad] = np.all(asym[bad] <= tol * scale[:, None, None], axis=(1, 2))
+    return ok.reshape(stack)
+
+
 def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
+    """``mat`` symmetrised, ``(A + A^T) / 2``, after checking each matrix
+    is symmetric within ``tol`` relative (see :func:`symmetric_within`)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
@@ -33,7 +50,10 @@ def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix")
     # one work array: a stack of k matrices is several MB at k = 500
     work = np.subtract(mat, mat_t)
     if not (np.abs(work, out=work) <= tol).all():
-        raise ValueError(f"{name} is not symmetric within {tol:g}")
+        bad = ~symmetric_within(mat, work, tol)
+        if bad.any():
+            raise ValueError(f"{name}{_stack_note(bad)} is not symmetric within "
+                             f"{tol:g} max(1, max |A|)")
     np.add(mat, mat_t, out=work)
     work *= 0.5
     return work

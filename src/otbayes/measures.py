@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_inv_psd
+from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_inv_psd, symmetric_within
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
@@ -246,6 +246,12 @@ class LocationScaleUnivariate(UnivariateModel):
     def _logpdf0(self, z):
         raise NotImplementedError
 
+    def _sum_logpdf0(self, z):
+        """``_logpdf0`` summed over each state of an (m, c, n) block: c
+        coordinates of this shape at n points per state; (m,). z may be
+        overwritten."""
+        return np.sum(self._logpdf0(z), axis=(1, 2))
+
     def _mean0(self) -> float:
         return 0.0
 
@@ -306,6 +312,10 @@ class Normal(LocationScaleUnivariate):
     def _logpdf0(self, z):
         return -0.5 * z * z - 0.5 * _LOG_2PI
 
+    def _sum_logpdf0(self, z):
+        size = z.shape[1] * z.shape[2]
+        return -0.5 * np.sum(np.square(z, out=z), axis=(1, 2)) - 0.5 * size * _LOG_2PI
+
     def sample(self, n, rng):
         return rng.normal(self.loc, self.scale, size=n)
 
@@ -329,6 +339,10 @@ class Laplace(LocationScaleUnivariate):
 
     def _logpdf0(self, z):
         return -np.abs(z) - math.log(2.0)
+
+    def _sum_logpdf0(self, z):
+        size = z.shape[1] * z.shape[2]
+        return -np.sum(np.abs(z, out=z), axis=(1, 2)) - size * math.log(2.0)
 
     def _var0(self):
         return 2.0
@@ -361,10 +375,25 @@ class StudentT(LocationScaleUnivariate):
     def _cdf0(self, z):
         return special.stdtr(self.df, z)
 
-    def _logpdf0(self, z):
+    def _log_norm0(self) -> float:
         nu = self.df
-        c = special.gammaln((nu + 1) / 2) - special.gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
-        return c - 0.5 * (nu + 1) * np.log1p(z * z / nu)
+        return special.gammaln((nu + 1) / 2) - special.gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
+
+    def _logpdf0(self, z):
+        return self._log_norm0() - 0.5 * (self.df + 1) * np.log1p(z * z / self.df)
+
+    def _sum_logpdf0(self, z):
+        """Numerical shortcut: each point's ``log1p(z^2 / nu)`` is taken as
+        ``log(nu + z^2) - log nu``, with ``log nu`` moved out of the sum.
+        One ``log`` costs less than a division and a ``log1p``; each term
+        then carries about 1e-16 more absolute error (the rounding of
+        ``log(nu + z^2)``, near ``log nu`` for small z)."""
+        nu, half = self.df, 0.5 * (self.df + 1)
+        size = z.shape[1] * z.shape[2]
+        np.square(z, out=z)
+        z += nu
+        return (size * (self._log_norm0() + half * math.log(nu))
+                - half * np.sum(np.log(z, out=z), axis=(1, 2)))
 
     def _var0(self):
         return self.df / (self.df - 2.0) if self.df > 2.0 else math.inf
@@ -692,7 +721,7 @@ class Generator:
                 key.append((c.family, id(c)))
                 others.append(j)
         self._key = tuple(key)
-        # each location-scale family is scored by one _logpdf0 call on its
+        # each location-scale family is scored by one call on its
         # coordinates, a slice when they are contiguous: (shape member,
         # index, loc, scale, sum of log scales), loc and scale None when
         # standard
@@ -717,16 +746,14 @@ class Generator:
         return self._key
 
     def _family_log_pdfs(self, x: np.ndarray):
-        """``(log_f, log_scale)`` for each family of x's coordinates, which
-        run along axis 1: ``log_f`` keeps that axis and ``log_scale`` is
-        still to be subtracted once per point."""
-        tail = (1,) * (x.ndim - 2)
+        """``(log_f, log_scale)`` for each family of the coordinates of
+        (n, q) points: ``log_f`` is (n, c) and ``log_scale`` is still to be
+        subtracted once per point."""
         for shape, cols, loc, scale, log_scale in self._families:
-            # each coordinate contiguous: rows of a stack are read in
-            # place, columns of row-major points gathered column-major
-            z = x[:, cols] if x.ndim > 2 else np.asfortranarray(x[:, cols])
+            # columns gathered column-major: each coordinate contiguous
+            z = np.asfortranarray(x[:, cols])
             if loc is not None:
-                z = (z - loc.reshape(-1, *tail)) / scale.reshape(-1, *tail)
+                z = (z - loc) / scale
             yield shape._logpdf0(z), log_scale
         for j in self._others:
             yield self.coordinates[j].log_pdf(x[:, j:j + 1]), 0.0
@@ -740,11 +767,24 @@ class Generator:
 
     def total_log_density(self, x: np.ndarray) -> np.ndarray:
         """Log-density summed over each state's points: x is an (m, q, n)
-        stack of n points per state, coordinates along axis 1; (m,)."""
-        x = np.asarray(x, dtype=float)
+        stack of n points per state, coordinates along axis 1; (m,). x is
+        not changed."""
+        return self._total_log_density_in_place(np.array(x, dtype=float))
+
+    def _total_log_density_in_place(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`total_log_density` of a stack that it may overwrite: each
+        family's coordinates (rows of x when they are a slice, else a
+        gathered copy) are normalised in place and summed by one
+        ``_sum_logpdf0`` call."""
         out = np.zeros(x.shape[0])
-        for log_f, log_scale in self._family_log_pdfs(x):
-            out += np.sum(log_f, axis=(1, 2)) - x.shape[2] * log_scale
+        for shape, cols, loc, scale, log_scale in self._families:
+            z = x[:, cols]
+            if loc is not None:
+                z -= loc[:, None]
+                z /= scale[:, None]
+            out += shape._sum_logpdf0(z) - x.shape[2] * log_scale
+        for j in self._others:
+            out += np.sum(self.coordinates[j].log_pdf(x[:, j]), axis=1)
         return out
 
     def density(self, x: np.ndarray) -> np.ndarray:
@@ -846,14 +886,15 @@ class LocationScatterModel:
         """Models for the rows of (k, q) locations and (k, q, q) scatters
         that pass the constructor's checks, in order.
 
-        The checks run once over the stack: finite, symmetric within
-        1e-10 and positive definite. The models are built from one
-        stacked ``scatter @ scatter``, without checking them again.
+        The checks run once over the stack: finite, symmetric (see
+        ``linalg.symmetric_within``) and positive definite. The models
+        are built from one stacked ``scatter @ scatter``, without checking
+        them again.
         """
         ok = np.isfinite(scatters).all(axis=(1, 2))
         scatters = np.where(ok[:, None, None], scatters, np.eye(generator.dimension))
         flipped = np.swapaxes(scatters, 1, 2)
-        ok &= np.all(np.abs(scatters - flipped) <= 1e-10, axis=(1, 2))
+        ok &= symmetric_within(scatters, np.abs(scatters - flipped))
         sym = 0.5 * (scatters + flipped)
         ok &= np.linalg.eigvalsh(sym)[:, 0] > 0.0
         sym = sym[ok]
@@ -968,23 +1009,21 @@ def experiment_covariance(q: int, eps: float, sigma: float, omega: float) -> np.
 def _cosine_kernel_spectrum(q: int, eps, sigma, omega):
     """``(u, lam, e, low)`` for m kernels given by parameter vectors.
 
-    ``u = B V`` (m, q, 2) holds the 2 x 2 eigenvectors of ``B^T B`` taken
-    in closed form, ``lam`` (m, 2) the squared column norms of u, largest
-    first, and ``e = eps + sigma lam``. ``low`` (m,) is the smallest
-    eigenvalue of Sigma: eps when q > 2, else the smallest of ``e[:, :q]``.
+    ``u = B V`` (m, q, 2) holds B turned onto the eigenvectors V of ``B^T
+    B``, ``lam`` (m, 2) the squared column norms of u, largest first, and
+    ``e = eps + sigma lam``. ``low`` (m,) is the smallest eigenvalue of
+    Sigma: eps when q > 2, else the smallest of ``e[:, :q]``.
+
+    Row i of B is ``(cos w_i, sin w_i)`` with ``w = omega s``, so V is the
+    rotation by ``theta = atan2(sum sin 2w, sum cos 2w) / 2`` and u has
+    rows ``(cos(w_i - theta), sin(w_i - theta))``. Then ``lam_0 - lam_1 =
+    |sum exp(2i w)| >= 0``, and each lam is a sum of squares: nothing
+    cancels as lam_1 -> 0.
     """
     ws = omega[:, None] * _kernel_grid(q)
-    basis = np.stack([np.cos(ws), np.sin(ws)], axis=-1)  # B, (m, q, 2)
-    gram = np.einsum("mik,mil->mkl", basis, basis)
-    half = 0.5 * (gram[:, 0, 0] - gram[:, 1, 1])
-    b = gram[:, 0, 1]
-    r = np.hypot(half, b)
-    # top eigenvector, from the row of B^T B - lam_max I without cancellation
-    v = np.where(half >= 0.0, [half + r, b], [b, r - half])
-    norm = np.hypot(v[0], v[1])
-    v = np.where(norm > 0.0, v / np.where(norm > 0.0, norm, 1.0), [[1.0], [0.0]])
-    rot = np.stack([np.stack([v[0], -v[1]], -1), np.stack([v[1], v[0]], -1)], -2)
-    u = basis @ rot
+    theta = 0.5 * np.arctan2(np.sin(2.0 * ws).sum(axis=1), np.cos(2.0 * ws).sum(axis=1))
+    ws -= theta[:, None]
+    u = np.stack([np.cos(ws), np.sin(ws)], axis=-1)
     lam = np.einsum("mik,mik->mk", u, u)
     e = eps[:, None] + sigma[:, None] * lam
     low = np.minimum(eps, e[:, 1]) if q > 2 else np.min(e[:, :q], axis=1)

@@ -329,6 +329,45 @@ class TestGeneratorStandardization:
         assert totals[1] == pytest.approx(np.sum(want_abs), rel=1e-13)
 
 
+_SHAPES = [Normal(), Laplace(), StudentT(3.0), StudentT(5.0), Exponential(), Logistic(), Gumbel()]
+
+
+class TestSummedShapeDensity:
+    """The per-shape sums that score a likelihood block in place, against
+    the elementwise ``_logpdf0`` they replace."""
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=lambda c: f"{c.family}{getattr(c, 'df', '')}")
+    def test_hook_equals_the_summed_logpdf0(self, shape):
+        z = 3.0 * np.random.default_rng(0).normal(size=(5, 3, 40))
+        z[1:] = np.abs(z[1:])  # state 0 alone reaches below the exponential support
+        z[2] *= 1e-3  # near the mode, where the t sum subtracts log(df)
+        with np.errstate(divide="ignore"):
+            want = np.sum(shape._logpdf0(z), axis=(1, 2))
+            got = shape._sum_logpdf0(z.copy())
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(got[~finite] == -math.inf)
+        assert finite.tolist() == [not isinstance(shape, Exponential)] + [True] * 4
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("order", ["contiguous", "interleaved"])
+    def test_generator_total_equals_the_per_coordinate_sum(self, order):
+        coords = [Laplace(), Laplace(0.5, 2.0), StudentT(3.0), StudentT(3.0, -1.0, 0.5),
+                  Normal(0.3, 2.0), Normal(), Exponential(2.5), Gumbel(0.2, 1.5)]
+        if order == "interleaved":
+            coords = [coords[i] for i in (0, 2, 4, 6, 1, 3, 5, 7)]
+        gen = Generator(coords)
+        x = 2.0 * np.random.default_rng(1).normal(size=(3, len(coords), 60))
+        x[1:] = np.abs(x[1:])
+        keep = x.copy()
+        with np.errstate(divide="ignore"):
+            got = gen.total_log_density(x)
+            want = [sum(np.sum(c.log_pdf(state[j])) for j, c in enumerate(coords)) for state in x]
+        assert np.array_equal(x, keep)  # the public total scores a copy
+        assert got[0] == want[0] == -math.inf
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-13, atol=0.0)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("model", ALL_PARAMETRIC, ids=lambda m: m.family)
     def test_univariate_roundtrip(self, model):

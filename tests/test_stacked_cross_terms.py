@@ -406,6 +406,26 @@ class TestBarycenterInvariance:
         assert _rel(b.scatter, scale * a.scatter) <= 1e-8
         assert np.allclose(b.location, scale * a.location + shift, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_large_scales_pass_the_symmetry_checks(self, scale):
+        # q = 15 models whose cross terms reach scale^2 entries, where the
+        # rounding asymmetry of a product exceeds an absolute 1e-10
+        gen = Generator.mixed_experiment(15)
+
+        def cloud(c):
+            rng = np.random.default_rng(0)
+            return [make_ls_model(gen, c * rng.normal(size=15), c * c * _random_scatter(rng, 15))
+                    for _ in range(4)]
+
+        base, moved = cloud(1.0), cloud(scale)
+        assert w2_ls(moved[0], moved[1]) == pytest.approx(scale * w2_ls(base[0], base[1]),
+                                                          rel=1e-10)
+        a, _ = empirical_barycenter(ModelDistribution(support=base))
+        b, _ = empirical_barycenter(ModelDistribution(support=moved))
+        assert _rel(b.location, scale * a.location) <= 1e-10
+        assert _rel(b.scatter, scale * a.scatter) <= 1e-10
+        assert _rel(b.scatter_sq, scale**2 * a.scatter_sq) <= 1e-10
+
     @given(k=st.integers(1, 20), q=st.integers(1, 6), seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
     def test_commuting_scatters_average(self, k, q, seed):
@@ -447,6 +467,27 @@ class TestStackChecks:
         stack[42, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="not symmetric"):
             sqrtm_psd(stack)
+
+    def test_symmetry_tolerance_is_relative_to_the_largest_entry(self):
+        # within 1e-10 max(1, max |A|), matrix by matrix
+        stack = np.stack([np.eye(3), 1e4 * np.eye(3)])
+        stack[1, 0, 1] += 5e-7
+        assert np.all(np.isfinite(sqrtm_psd(stack)))
+        stack[0, 0, 1] += 2e-10
+        with pytest.raises(ValueError, match="matrix 0 of 2, 1 flagged"):
+            sqrtm_psd(stack)
+        stack[0, 0, 1] = 0.0
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="matrix 1 of 2, 1 flagged"):
+            sqrtm_psd(stack)
+
+    def test_model_stack_takes_the_same_relative_rule(self):
+        scatters = np.stack([np.eye(3), 1e4 * np.eye(3), 1e4 * np.eye(3)])
+        scatters[1, 0, 1] += 5e-7  # within 1e-10 * 1e4
+        scatters[2, 0, 1] += 2e-6  # beyond it
+        got = LocationScatterModel._from_stack(Generator.standard_normal(3), np.zeros((3, 3)),
+                                               scatters)
+        assert [m.scatter[0, 0] for m in got] == [1.0, 1e4]
 
     def test_near_singular_matrix_clamps_with_a_warning(self):
         stack = self._stack()
