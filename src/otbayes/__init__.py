@@ -1,9 +1,9 @@
 """Wasserstein barycenters of Bayesian posteriors.
 
 Closed-form optimal transport for four model families, deterministic and
-(batch) stochastic descent on Wasserstein space, Metropolis posterior
-sampling, classical model averages, and a reproducible experiment
-harness with a CLI.
+(batch) stochastic descent on Wasserstein space, ensemble Metropolis
+posterior sampling, the Bayesian model average, and a reproducible
+experiment harness with a CLI.
 """
 
 from .errors import (
@@ -37,7 +37,6 @@ from .measures import (
     experiment_covariance,
     make_ls_model,
     mix_quantiles,
-    model_from_dict,
     sample,
 )
 from .transport import (
@@ -45,7 +44,6 @@ from .transport import (
     ConvexCombinationMap,
     CoordinatewiseMap,
     CouplingPlan,
-    IdentityMap,
     MonotoneRearrangementMap,
     RadialMap,
     TransportMap,
@@ -78,18 +76,14 @@ from .bayes import (
     BwbConfig,
     BwbDiagnostics,
     Dataset,
-    DensityTable,
     McmcConfig,
     MixtureModel,
     ParamPrior,
     PosteriorChain,
     bwb_estimator,
-    exponential_model_average,
-    log_likelihood,
     metropolis_sample,
     model_average,
     posterior_models,
-    square_model_average,
 )
 from .experiments import (
     ExperimentConfig,

@@ -79,10 +79,6 @@ class ModelDistribution:
         return self.sampler(rng)
 
     @classmethod
-    def point_mass(cls, model):
-        return cls(support=[model], weights=np.array([1.0]))
-
-    @classmethod
     def from_sampler(cls, sampler: Callable):
         return cls(sampler=sampler)
 
@@ -162,12 +158,6 @@ class DescentTrace:
 
     def __len__(self):
         return len(self.iterations)
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,gamma,F_est,gradnorm_est,wall_ms\n")
-            for row in zip(self.iterations, self.gammas, self.risk, self.grad_norm_sq, self.wall_ms):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -256,22 +246,16 @@ def fixed_point_residual(mu_hat, dist: ModelDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def empirical_barycenter(
-    dist: ModelDistribution,
-    gamma: float = 1.0,
-    stop: StopRule = StopRule(),
-):
+def empirical_barycenter(dist: ModelDistribution, stop: StopRule = StopRule()):
     """Barycenter of a finitely supported distribution over models.
 
-    Iterates the damped averaged-map operator until the relative change
-    of the risk falls below ``stop.rel_tol``. Returns ``(model, trace)``;
-    a run that hits ``stop.max_iter`` is returned with
-    ``trace.converged = False``.
+    Iterates the averaged-map operator (unit steps of :func:`gk_step`)
+    until the relative change of the risk falls below ``stop.rel_tol``.
+    Returns ``(model, trace)``; a run that hits ``stop.max_iter`` is
+    returned with ``trace.converged = False``.
     """
     if not dist.is_finite:
         raise ValueError("empirical_barycenter requires finite support")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
     support, weights = dist.support, dist.weights
     # one row per iterate; the support was checked when dist was built
     row = transport.family(support[0])
@@ -284,10 +268,10 @@ def empirical_barycenter(
                  1e3 * (time.perf_counter() - t0))
     converged = False
     for it in range(1, stop.max_iter + 1):
-        mu = gk_step(mu, dist, gamma, cross=cross)
+        mu = gk_step(mu, dist, 1.0, cross=cross)
         cross = row(mu, support, weights)
         f_cur = risk(mu, support, weights, cross=cross)
-        trace.record(it, gamma, f_cur, _grad_norm_sq(mu, support, weights, cross=cross),
+        trace.record(it, 1.0, f_cur, _grad_norm_sq(mu, support, weights, cross=cross),
                      1e3 * (time.perf_counter() - t0))
         if f_prev <= 1e-300:
             converged = True

@@ -1,5 +1,5 @@
 """Bayesian layer: priors over scatter-location parameters, ensemble
-Metropolis posterior sampling, classical model averages and the
+Metropolis posterior sampling, the Bayesian model average and the
 transport-barycenter estimator assembled on top of them.
 
 The parametric model space is the scatter-location family with location b
@@ -7,7 +7,7 @@ and a cosine-kernel scatter driven by (eps, sigma, omega); the prior
 factorizes as N(b|0,I) Exp(eps|.) Exp(sigma|.) Exp(1/omega|.). Posterior
 draws feed either the deterministic barycenter of the empirical measure
 over models or the batch stochastic descent, and are compared against
-vertical averages (mixture, exponential, square).
+the mixture (the Bayesian model average).
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ParamPrior:
-    """Independent prior over (b, eps, sigma, omega).
+    """Independent prior over theta = (b, eps, sigma, 1/omega).
 
     ``b ~ N(0, I_q)``; ``eps ~ Exp(rate_eps)``; ``sigma ~ Exp(rate_sigma)``;
     the frequency enters through its inverse, ``1/omega ~
     Exp(rate_omega_inv)``, and all bookkeeping stays in the inverse
-    coordinate. With ``fixed_covariance`` set, the scatter is frozen and
-    the prior is over b alone (the conjugate-checkable case).
+    coordinate. theta indexes the model with location b and covariance
+    ``experiment_covariance(q, eps, sigma, omega)``. With
+    ``fixed_covariance`` set, the scatter is frozen and theta = b (the
+    conjugate-checkable case).
     """
 
     dimension: int
@@ -79,16 +81,6 @@ class ParamPrior:
     @property
     def n_params(self) -> int:
         return self.dimension if self.fixed_covariance is not None else self.dimension + 3
-
-    def split(self, theta: np.ndarray):
-        """theta -> (b, eps, sigma, omega); the last three are None when
-        the covariance is fixed."""
-        theta = np.asarray(theta, dtype=float)
-        b = theta[: self.dimension]
-        if self.fixed_covariance is not None:
-            return b, None, None, None
-        eps, sigma, omega_inv = theta[self.dimension:]
-        return b, eps, sigma, 1.0 / omega_inv
 
     def log_density(self, theta: np.ndarray) -> float:
         return float(self.log_densities(np.asarray(theta, dtype=float)[None])[0])
@@ -115,34 +107,6 @@ class ParamPrior:
             rng.exponential(1.0 / self.rate_omega_inv),
         ])
         return np.concatenate([b, tail])
-
-    def covariance_of(self, theta: np.ndarray) -> np.ndarray:
-        b, eps, sigma, omega = self.split(theta)
-        if self.fixed_covariance is not None:
-            return self.fixed_covariance
-        return experiment_covariance(self.dimension, eps, sigma, omega)
-
-    def to_dict(self):
-        d = {
-            "dimension": self.dimension,
-            "rate_eps": self.rate_eps,
-            "rate_sigma": self.rate_sigma,
-            "rate_omega_inv": self.rate_omega_inv,
-        }
-        if self.fixed_covariance is not None:
-            d["fixed_covariance"] = self.fixed_covariance.tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        cov = d.get("fixed_covariance")
-        return cls(
-            d["dimension"],
-            d.get("rate_eps", 20.0),
-            d.get("rate_sigma", 1.0),
-            d.get("rate_omega_inv", 15.0),
-            np.asarray(cov, dtype=float) if cov is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -193,19 +157,6 @@ class PosteriorChain:
     def __len__(self):
         return self.draws.shape[0]
 
-    def to_csv(self, path):
-        k, d = self.draws.shape
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"theta_{j}" for j in range(d)) + ",log_posterior\n")
-            for row, lp in zip(self.draws, self.log_posterior):
-                vals = [format(v, ".17g") for v in row] + [format(lp, ".17g")]
-                fh.write(",".join(vals) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, acceptance_rate=0.5):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, :-1], data[:, -1], acceptance_rate)
-
 
 # ---------------------------------------------------------------------------
 # Likelihood
@@ -234,23 +185,19 @@ def _whitening(covs: np.ndarray):
     return pd, whiten, np.sum(np.log(root), axis=1)
 
 
-def log_likelihood(theta: np.ndarray, data: Dataset, gen: Generator,
-                   prior: Optional[ParamPrior] = None) -> float:
-    """Log-likelihood of the scatter-location model indexed by theta.
-
-    ``sum_i [-log det A + log f_gen(A^{-1}(x_i - b))]`` with A the
-    principal root of the theta covariance. Out-of-domain theta returns
-    -inf rather than raising.
-    """
-    if prior is None:
-        prior = ParamPrior(gen.dimension)
-    theta = np.asarray(theta, dtype=float)
-    return float(_TransformedTarget(prior, data, gen).log_likelihoods(theta[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # Ensemble Metropolis sampler
 # ---------------------------------------------------------------------------
+
+
+# The ensemble: at least this many walkers, 2 dim + 2 when that is more
+_MIN_WALKERS = 16
+# Goodman and Weare's stretch-move scale
+_STRETCH_A = 2.0
+# independence moves begin after twice this many sweeps
+_ADAPT_WINDOW = 50
+# an acceptance rate outside this range is warned about
+_WARN_ACCEPT_RANGE = (0.05, 0.8)
 
 
 @dataclass
@@ -258,34 +205,25 @@ class McmcConfig:
     """Posterior-sampler settings.
 
     The sampler runs affine-invariant stretch moves (Goodman and Weare
-    2010) over a walker ensemble on the transformed target (positivity
-    coordinates proposed in log space with the Jacobian folded in), which
-    traverses the soft scale ridges of the cosine-kernel posterior
-    without tuning. ``burn_sweeps`` and ``thin_sweeps`` count
-    whole-ensemble updates. After ``2 adapt_window`` sweeps, every third
-    sweep is an independence move against a Gaussian fitted to the other
-    half of the ensemble. Each half-sweep's proposals are scored as one
-    batch, whose whitened-data workspace is bounded (about 2^16 doubles)
-    whatever n and the walker count.
+    2010, scale a = 2) over an ensemble of ``max(2 dim + 2, 16)`` walkers
+    on the transformed target (positivity coordinates proposed in log
+    space with the Jacobian folded in), which traverses the soft scale
+    ridges of the cosine-kernel posterior without tuning.
+    ``burn_sweeps`` and ``thin_sweeps`` count whole-ensemble updates.
+    After 100 sweeps, every third sweep is an independence move against
+    a Gaussian fitted to the other half of the ensemble. Each
+    half-sweep's proposals are scored as one batch, whose whitened-data
+    workspace is bounded (about 2^16 doubles) whatever n and the walker
+    count.
 
-    ``init='search'`` starts the walkers from the best of a candidate set
-    (prior draws with the location block at the sample mean, plus a
-    frequency scan of the covariance kernel); ``init_rank`` rotates the
-    starts among near-best candidates, and ``proposal_scale_b`` and
-    ``proposal_scale_log`` set the jitter around them. ``'prior'`` starts
-    every walker from a plain prior draw, as does an empty dataset, and
-    reads neither scale. An acceptance rate outside ``warn_accept_range``
-    is warned about.
+    The walkers start near the best of a candidate set (prior draws with
+    the location block at the sample mean, plus a frequency scan of the
+    covariance kernel); ``init_rank`` rotates the starts among near-best
+    candidates. With an empty dataset every walker starts from a plain
+    prior draw. An acceptance rate outside [0.05, 0.8] is warned about.
     """
 
-    proposal_scale_b: float = 0.2
-    proposal_scale_log: float = 0.2
-    adapt_window: int = 50
-    warn_accept_range: tuple = (0.05, 0.8)
-    init: str = "search"
     init_rank: int = 0  # start from the init_rank-th best candidate (overdispersed starts)
-    n_walkers: int = 0  # 0: max(2 dim + 2, 16), rounded even
-    stretch_a: float = 2.0
     burn_sweeps: int = 200
     thin_sweeps: int = 3
 
@@ -480,20 +418,18 @@ def _basin_candidates(target: _TransformedTarget, rng: np.random.Generator) -> l
 
 def _walker_seeds(target: _TransformedTarget, rng: np.random.Generator,
                   mcmc: McmcConfig, n: int) -> np.ndarray:
-    """Overdispersed within-basin start states for an ensemble."""
+    """Overdispersed within-basin start states for an ensemble; prior
+    draws when there are no data."""
     prior = target.prior
-    q = prior.dimension
     dim = prior.n_params
-    if mcmc.init == "prior" or target.data.n == 0:
+    if target.data.n == 0:
         return np.asarray([target.from_theta(prior.sample(rng)) for _ in range(n)])
-    scales = np.full(dim, mcmc.proposal_scale_b)
-    if dim > q:
-        scales[q:] = mcmc.proposal_scale_log
     eligible = _basin_candidates(target, rng)
     out = np.empty((n, dim))
     for i in range(n):
         base = eligible[(mcmc.init_rank + i) % len(eligible)]
-        out[i] = base + 0.05 * scales * rng.normal(size=dim)
+        # 0.05 * 0.2 rounds to 0.010000000000000002, not 0.01: every start reads it
+        out[i] = base + 0.05 * 0.2 * rng.normal(size=dim)
     return out
 
 
@@ -501,9 +437,8 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
                      rng: np.random.Generator):
     """Affine-invariant stretch-move ensemble (red-black sweep update)."""
     dim = target.prior.n_params
-    n_walk = mcmc.n_walkers or max(2 * dim + 2, 16)
-    n_walk += n_walk % 2
-    a = mcmc.stretch_a
+    n_walk = max(2 * dim + 2, _MIN_WALKERS)  # even
+    a = _STRETCH_A
     walkers = _walker_seeds(target, rng, mcmc, n_walk)
     lps = target.log_densities(walkers)
     bad = ~np.isfinite(lps)
@@ -539,7 +474,7 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
     for sweep in range(1, total_sweeps + 1):
         # periodic independence moves against a Gaussian fitted to the
         # complementary half decorrelate the ensemble's collective drift
-        independence = sweep > 2 * mcmc.adapt_window and sweep % 3 == 0
+        independence = sweep > 2 * _ADAPT_WINDOW and sweep % 3 == 0
         for half, other in (halves, halves[::-1]):
             idx = np.where(half)[0]
             partners = np.where(other)[0]
@@ -583,22 +518,18 @@ def metropolis_sample(
     sampler, after ``mcmc.burn_sweeps`` sweeps and thinned to every
     ``mcmc.thin_sweeps``-th sweep.
 
-    An acceptance rate outside ``mcmc.warn_accept_range`` triggers a
-    diagnostic warning, not a failure.
+    An acceptance rate outside [0.05, 0.8] triggers a diagnostic
+    warning, not a failure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mcmc = mcmc or McmcConfig()
     rng = rng if rng is not None else np.random.default_rng()
     gen = gen or Generator.standard_normal(prior.dimension)
-    if mcmc.proposal_scale_b <= 0.0 or mcmc.proposal_scale_log <= 0.0:
-        raise ValueError("proposal scales must be positive")
-    if mcmc.init not in ("search", "prior"):
-        raise ValueError(f"init must be 'search' or 'prior', got {mcmc.init!r}")
 
     target = _TransformedTarget(prior, data, gen)
     draws_phi, logps, rate = _ensemble_sample(target, k, mcmc, rng)
-    lo, hi = mcmc.warn_accept_range
+    lo, hi = _WARN_ACCEPT_RANGE
     if not lo <= rate <= hi:
         warnings.warn(f"ensemble acceptance rate {rate:.3f} outside [{lo}, {hi}]",
                       RuntimeWarning, stacklevel=2)
@@ -649,14 +580,13 @@ def posterior_models(chain: PosteriorChain, gen: Generator,
 
 
 # ---------------------------------------------------------------------------
-# Vertical averages
+# The model average
 # ---------------------------------------------------------------------------
 
 
 class MixtureModel:
     """Posterior mixture: weighted vertical average of model densities."""
 
-    family = "mixture"
     __slots__ = ("components", "weights")
 
     def __init__(self, components: Sequence, weights):
@@ -703,76 +633,12 @@ class MixtureModel:
             out += w * (comp.covariance() + np.outer(cm, cm))
         return out - np.outer(mu, mu)
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {
-                "weights": self.weights.tolist(),
-                "components": [c.to_dict() for c in self.components],
-            },
-        }
-
 
 def model_average(dist: ModelDistribution) -> MixtureModel:
     """Bayesian model average of a finite distribution over models."""
     if not dist.is_finite:
         raise ValueError("model_average requires finite support")
     return MixtureModel(dist.support, dist.weights)
-
-
-@dataclass(frozen=True)
-class DensityTable:
-    """Normalized density values on a rectangular grid (1-D or 2-D)."""
-
-    axes: tuple
-    values: np.ndarray
-    normalization: float
-
-    def integral(self) -> float:
-        vals = self.values
-        for ax in reversed(range(len(self.axes))):
-            vals = np.trapezoid(vals, self.axes[ax], axis=ax)
-        return float(vals)
-
-
-def _grid_average(dist: ModelDistribution, grid, name, transform, finish):
-    """The table of ``finish(sum_m transform(w_m, density_m))`` on the grid,
-    normalized by its integral."""
-    if not dist.is_finite:
-        raise ValueError("grid averages require finite support")
-    axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
-    if len(axes) not in (1, 2):
-        raise ValueError("grid averages are offered for 1-D and 2-D grids only")
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-        shape = (axes[0].size,)
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        shape = xx.shape
-    unnorm = finish(sum(transform(w, np.asarray(comp.density(pts), dtype=float).reshape(shape))
-                        for w, comp in zip(dist.weights, dist.support)))
-    z = DensityTable(axes, unnorm, 1.0).integral()
-    if z <= 0.0:
-        raise ValueError(f"{name} average vanishes on the grid")
-    return DensityTable(axes, unnorm / z, z)
-
-
-def exponential_model_average(dist: ModelDistribution, grid) -> DensityTable:
-    """Normalized exponential of the averaged log densities.
-
-    Grid points where any component vanishes get zero density.
-    """
-    return _grid_average(dist, grid, "exponential",
-                         lambda w, dens: w * np.log(np.where(dens > 0.0, dens, np.nan)),
-                         lambda log_avg: np.exp(np.nan_to_num(log_avg, nan=-np.inf)))
-
-
-def square_model_average(dist: ModelDistribution, grid) -> DensityTable:
-    """Normalized square of the averaged root densities."""
-    return _grid_average(dist, grid, "square",
-                         lambda w, dens: w * np.sqrt(np.maximum(dens, 0.0)),
-                         lambda root_avg: root_avg**2)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,7 @@ class ExperimentConfig:
     # MCMC
     burn_sweeps: int = 200
     thin_sweeps: int = 6
-    proposal_scale_b: float = 0.2
-    proposal_scale_log: float = 0.2
     # descent
-    descent_gamma: float = 1.0
     descent_rel_tol: float = 1e-4
     descent_max_iter: int = 100
     # stochastic descent
@@ -95,6 +92,12 @@ class ExperimentConfig:
     ot_samples: int = 1000
     var_grad_reps: int = 200
     compare_n: int = 1000
+
+    def __post_init__(self):
+        # derive_rng keys every stream by the seed's low 32 bits: a wider
+        # seed would draw another seed's data under its own label
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
     def true_location(self) -> np.ndarray:
         return np.arange(self.dimension, dtype=float)
@@ -114,8 +117,6 @@ class ExperimentConfig:
         return McmcConfig(
             burn_sweeps=self.burn_sweeps,
             thin_sweeps=self.thin_sweeps,
-            proposal_scale_b=self.proposal_scale_b,
-            proposal_scale_log=self.proposal_scale_log,
             init_rank=init_rank,
         )
 
@@ -435,7 +436,7 @@ def _descent_cell(cfg: ExperimentConfig, experiment: str, n: int, rep: int, meas
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                model, trace = empirical_barycenter(dist, cfg.descent_gamma, cfg.stop_rule())
+                model, trace = empirical_barycenter(dist, cfg.stop_rule())
                 metric, value = measure(model, dist, m0, rng)
         except Exception as exc:  # noqa: BLE001
             bad.append((n, k, rep, repr(exc)))

@@ -145,16 +145,6 @@ class GridQuantile:
                 u = np.where(hi, k[-1] + (x - v[-1]) / slope, u)
         return np.clip(u, 0.0, 1.0)
 
-    def to_dict(self):
-        return {"levels": self.knots.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        if not d.get("extrapolate", True):
-            raise ValueError("'extrapolate': false was removed; grid ends always extend linearly")
-        return cls(d["levels"], d["values"])
-
-
 # ---------------------------------------------------------------------------
 # Univariate models
 # ---------------------------------------------------------------------------
@@ -211,9 +201,6 @@ class UnivariateModel:
     def breakpoints(self) -> np.ndarray:
         """Levels in (0,1) where the quantile is non-smooth (kinks)."""
         return np.empty(0)
-
-    def to_dict(self):
-        raise NotImplementedError
 
 
 class LocationScaleUnivariate(UnivariateModel):
@@ -286,12 +273,6 @@ class LocationScaleUnivariate(UnivariateModel):
 
     def variance(self) -> float:
         return self.scale**2 * self._var0()
-
-    def _param_dict(self):
-        return {"loc": self.loc, "scale": self.scale}
-
-    def to_dict(self):
-        return {"family": self.family, "params": self._param_dict()}
 
     def __repr__(self):
         return f"{type(self).__name__}(loc={self.loc:g}, scale={self.scale:g})"
@@ -401,9 +382,6 @@ class StudentT(LocationScaleUnivariate):
     def sample(self, n, rng):
         return self.loc + self.scale * rng.standard_t(self.df, size=n)
 
-    def _param_dict(self):
-        return {"df": self.df, "loc": self.loc, "scale": self.scale}
-
 
 class Exponential(LocationScaleUnivariate):
     """Exponential with rate parameter; scale = 1/rate, support [0, inf)."""
@@ -438,9 +416,6 @@ class Exponential(LocationScaleUnivariate):
 
     def sample(self, n, rng):
         return rng.exponential(self.scale, size=n)
-
-    def _param_dict(self):
-        return {"rate": self.rate}
 
 
 class Logistic(LocationScaleUnivariate):
@@ -532,9 +507,6 @@ class GridUnivariate(UnivariateModel):
     def breakpoints(self):
         return self.grid.knots
 
-    def to_dict(self):
-        return {"family": self.family, "params": self.grid.to_dict()}
-
 
 class QuantileMixModel(UnivariateModel):
     """Exact convex combination of quantile functions.
@@ -610,16 +582,6 @@ class QuantileMixModel(UnivariateModel):
         if not pts:
             return np.empty(0)
         return np.unique(np.concatenate(pts))
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {
-                "weights": self.weights.tolist(),
-                "components": [c.to_dict() for c in self.components],
-            },
-        }
-
 
 # ---------------------------------------------------------------------------
 # Quantile mixing (the univariate closed-form barycenter/descent update)
@@ -819,12 +781,6 @@ class Generator:
             self._radial = GridQuantile(levels[keep], np.maximum.accumulate(norms[keep]))
         return self._radial(u)
 
-    def to_dict(self):
-        return {
-            "family": "generator",
-            "params": {"coordinates": [c.to_dict() for c in self.coordinates]},
-        }
-
     @staticmethod
     def standard_normal(q: int) -> "Generator":
         return Generator([Normal() for _ in range(q)])
@@ -862,7 +818,6 @@ class LocationScatterModel:
     built any other way takes it once, by ``linalg.inv_psd``, on first use.
     """
 
-    family = "location_scatter"
     __slots__ = ("generator", "location", "scatter", "scatter_sq", "_scatter_inv")
 
     def __init__(self, generator: Generator, location, scatter):
@@ -935,16 +890,6 @@ class LocationScatterModel:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         g = self.generator.sample(n, rng)
         return g @ self.scatter + self.location
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {
-                "generator": self.generator.to_dict(),
-                "location": self.location.tolist(),
-                "scatter": self.scatter.tolist(),
-            },
-        }
 
 
 def _checked_location(generator: Generator, location) -> np.ndarray:
@@ -1118,18 +1063,10 @@ class RadialProfile:
             out = np.where(lo, np.maximum(self.values[0] - slope * (self.radii[0] - r), 0.0), out)
         return out
 
-    def to_dict(self):
-        return {"radii": self.radii.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["radii"], d["values"])
-
 
 class SphericalModel:
     """Radial reprofiling ``L(alpha(|x|) x / |x|)`` of a generator draw."""
 
-    family = "spherical"
     __slots__ = ("generator", "alpha")
 
     def __init__(self, generator: Generator, alpha: RadialProfile):
@@ -1146,28 +1083,16 @@ class SphericalModel:
         r = np.where(r == 0.0, 1e-300, r)
         return (self.alpha(r) / r)[:, None] * g
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {"generator": self.generator.to_dict(), "alpha": self.alpha.to_dict()},
-        }
-
 
 class IndependenceCopula:
-    kind = "independence"
-
     def sample_uniforms(self, n: int, q: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(1e-15, 1.0 - 1e-15, size=(n, q))
 
     def identifier(self):
         return ("independence",)
 
-    def to_dict(self):
-        return {"kind": self.kind}
-
 
 class GaussianCopula:
-    kind = "gaussian"
     __slots__ = ("correlation",)
 
     def __init__(self, correlation):
@@ -1185,17 +1110,6 @@ class GaussianCopula:
     def identifier(self):
         return ("gaussian", self.correlation.round(12).tobytes())
 
-    def to_dict(self):
-        return {"kind": self.kind, "correlation": self.correlation.tolist()}
-
-
-def copula_from_dict(d):
-    if d["kind"] == "independence":
-        return IndependenceCopula()
-    if d["kind"] == "gaussian":
-        return GaussianCopula(d["correlation"])
-    raise ValueError(f"unknown copula kind {d['kind']!r}")
-
 
 class CopulaModel:
     """Multivariate model: fixed copula plus one univariate marginal per axis.
@@ -1204,7 +1118,6 @@ class CopulaModel:
     identifiers are equal.
     """
 
-    family = "copula"
     __slots__ = ("copula", "marginals")
 
     def __init__(self, copula, marginals: Sequence[UnivariateModel]):
@@ -1221,15 +1134,6 @@ class CopulaModel:
         u = self.copula.sample_uniforms(n, self.dimension, rng)
         cols = [m.quantile(u[:, j]) for j, m in enumerate(self.marginals)]
         return np.column_stack(cols)
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "params": {
-                "copula": self.copula.to_dict(),
-                "marginals": [m.to_dict() for m in self.marginals],
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -1262,12 +1166,6 @@ class DiscreteMeasure:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def to_dict(self):
-        return {
-            "family": "discrete",
-            "params": {"points": self.points.tolist(), "weights": self.weights.tolist()},
-        }
-
 
 def sample(model, n: int, rng: np.random.Generator) -> DiscreteMeasure:
     """n i.i.d. draws from any family, wrapped as a uniform-weight cloud."""
@@ -1278,42 +1176,3 @@ def sample(model, n: int, rng: np.random.Generator) -> DiscreteMeasure:
     if draws.ndim == 1:
         draws = draws[:, None]
     return DiscreteMeasure(draws)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_UNIVARIATE_FAMILIES = {
-    "normal": lambda p: Normal(p["loc"], p["scale"]),
-    "laplace": lambda p: Laplace(p["loc"], p["scale"]),
-    "student_t": lambda p: StudentT(p["df"], p["loc"], p["scale"]),
-    "exponential": lambda p: Exponential(p["rate"]),
-    "logistic": lambda p: Logistic(p["loc"], p["scale"]),
-    "gumbel": lambda p: Gumbel(p["loc"], p["scale"]),
-}
-
-
-def model_from_dict(d):
-    """Rebuild any model serialized with ``to_dict``."""
-    family = d["family"]
-    p = d.get("params", {})
-    if family in _UNIVARIATE_FAMILIES:
-        return _UNIVARIATE_FAMILIES[family](p)
-    if family == "grid_quantile":
-        return GridUnivariate(GridQuantile.from_dict(p))
-    if family == "quantile_mix":
-        return QuantileMixModel(p["weights"], [model_from_dict(c) for c in p["components"]])
-    if family == "generator":
-        return Generator([model_from_dict(c) for c in p["coordinates"]])
-    if family == "location_scatter":
-        return LocationScatterModel(model_from_dict(p["generator"]), p["location"], p["scatter"])
-    if family == "spherical":
-        return SphericalModel(model_from_dict(p["generator"]), RadialProfile.from_dict(p["alpha"]))
-    if family == "copula":
-        return CopulaModel(
-            copula_from_dict(p["copula"]), [model_from_dict(m) for m in p["marginals"]]
-        )
-    if family == "discrete":
-        return DiscreteMeasure(np.asarray(p["points"]), np.asarray(p["weights"]))
-    raise ValueError(f"unknown family {family!r}")

@@ -59,12 +59,6 @@ class TransportMap:
 
 
 @dataclass(frozen=True)
-class IdentityMap(TransportMap):
-    def __call__(self, x):
-        return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
 class MonotoneRearrangementMap(TransportMap):
     """T = Q_target o F_source on the line (nondecreasing by construction)."""
 
@@ -111,6 +105,14 @@ class AffinePSDMap(TransportMap):
         self.matrix = matrix
         self.b1 = np.asarray(b1, dtype=float)
         self.b2 = np.asarray(b2, dtype=float)
+
+    @classmethod
+    def _built(cls, matrix, b1, b2):
+        """A map from a matrix that is symmetric PSD by construction (an
+        :func:`ls_map_matrix`) and float locations, without checking them."""
+        out = object.__new__(cls)
+        out.matrix, out.b1, out.b2 = matrix, b1, b2
+        return out
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -168,14 +170,6 @@ class CouplingPlan:
             self.source.points[plan.row] - self.target.points[plan.col], axis=1
         )
         return float(math.fsum(plan.data * d**p))
-
-    def to_csv(self, path):
-        """COO triplet export: one (row, col, mass) line per entry."""
-        plan = self.plan
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("row,col,mass\n")
-            for r, c, m in zip(plan.row, plan.col, plan.data):
-                fh.write(f"{r},{c},{format(m, '.17g')}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,7 @@ def ot_map_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> AffinePSDMa
     """Symmetric affine map between scatter-location models with one
     generator; :func:`w2_ls` says when it is optimal."""
     family(m1, m2)
-    return AffinePSDMap(LsCrossTerms(m1, [m2], [1.0]).map_matrix, m1.location, m2.location)
+    return AffinePSDMap._built(LsCrossTerms(m1, [m2], [1.0]).map_matrix, m1.location, m2.location)
 
 
 def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
@@ -621,15 +615,15 @@ class LsCrossTerms(FamilyRow):
 
     def averaged_map(self) -> TransportMap:
         """The maps share ``b1 = mu.location``: their average is one affine map."""
-        return AffinePSDMap(self.map_matrix, self.mu.location, self.mean_location)
+        return AffinePSDMap._built(self.map_matrix, self.mu.location, self.mean_location)
 
     def batch_map(self, index) -> TransportMap:
         """One affine map from the batch's cross terms, summed as
         ``cross_mean`` sums them, in batch order."""
         w = np.full(len(index), 1.0 / len(index))
         cross = np.sum(self.roots[index] * w[:, None, None], axis=0)
-        return AffinePSDMap(ls_map_matrix(self.mu.scatter_inv, cross), self.mu.location,
-                            w @ self.locations[index])
+        return AffinePSDMap._built(ls_map_matrix(self.mu.scatter_inv, cross), self.mu.location,
+                                   w @ self.locations[index])
 
 
 class SphericalRow(FamilyRow):

@@ -1,5 +1,5 @@
 """Bayesian layer tests: likelihood identities, Metropolis correctness
-against conjugate oracles, vertical averages, estimator assembly."""
+against conjugate oracles, the model average, estimator assembly."""
 
 import math
 import tracemalloc
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from otbayes import (
     BwbConfig,
@@ -29,14 +29,11 @@ from otbayes import (
     StopRule,
     StudentT,
     bwb_estimator,
-    exponential_model_average,
     experiment_covariance,
-    log_likelihood,
     make_ls_model,
     metropolis_sample,
     model_average,
     posterior_models,
-    square_model_average,
     w2,
     w2_ls,
 )
@@ -56,6 +53,22 @@ def _quiet_chain(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return metropolis_sample(*args, **kwargs)
+
+
+def log_likelihood(theta, data, gen, prior=None):
+    """The sampler target's log-likelihood of one theta."""
+    prior = prior or ParamPrior(gen.dimension)
+    theta = np.asarray(theta, dtype=float)
+    return float(_TransformedTarget(prior, data, gen).log_likelihoods(theta[None])[0])
+
+
+def _covariance(prior, theta):
+    """The covariance of the model that theta indexes under prior."""
+    if prior.fixed_covariance is not None:
+        return prior.fixed_covariance
+    q = prior.dimension
+    eps, sigma, omega_inv = theta[q:]
+    return experiment_covariance(q, eps, sigma, 1.0 / omega_inv)
 
 
 class TestParamPrior:
@@ -82,12 +95,6 @@ class TestParamPrior:
         rng = np.random.default_rng(0)
         assert ParamPrior(3).sample(rng).shape == (6,)
         assert ParamPrior(3, fixed_covariance=np.eye(3)).sample(rng).shape == (3,)
-
-    def test_json_roundtrip(self):
-        prior = ParamPrior(4, rate_eps=10.0, fixed_covariance=np.eye(4))
-        clone = ParamPrior.from_dict(prior.to_dict())
-        assert clone.dimension == 4 and clone.rate_eps == 10.0
-        assert np.allclose(clone.fixed_covariance, np.eye(4))
 
 
 class TestLogLikelihood:
@@ -146,8 +153,7 @@ class TestMetropolis:
         rng = np.random.default_rng(2)
         prior = ParamPrior(2)
         gen = Generator.standard_normal(2)
-        chain = _quiet_chain(prior, Dataset.empty(2), 10_000,
-                             McmcConfig(init="prior"), rng, gen)
+        chain = _quiet_chain(prior, Dataset.empty(2), 10_000, McmcConfig(), rng, gen)
         draws = chain.draws
         checks = [
             (draws[:, 0], stats.norm.cdf),
@@ -186,36 +192,13 @@ class TestMetropolis:
         assert len(chain) == 123
         assert 0.0 < chain.acceptance_rate < 1.0
 
-    def test_chain_csv_roundtrip(self, tmp_path):
-        from otbayes import PosteriorChain
-
-        rng = np.random.default_rng(3)
-        prior = ParamPrior(2)
-        gen = Generator.standard_normal(2)
-        chain = _quiet_chain(prior, Dataset.empty(2), 50, McmcConfig(),
-                             rng, gen)
-        path = tmp_path / "chain.csv"
-        chain.to_csv(path)
-        clone = PosteriorChain.from_csv(path)
-        assert np.allclose(clone.draws, chain.draws)
-        assert np.allclose(clone.log_posterior, chain.log_posterior)
-
-
 
 class TestEveryKnobIsRead:
     """No sampler setting is silently ignored: each field of McmcConfig,
-    moved alone off its default, changes the draws of a tiny chain;
-    ``warn_accept_range`` changes the warning instead."""
+    moved alone off its default, changes the draws of a tiny chain."""
 
     MOVED = {
-        "proposal_scale_b": 0.4,  # the jitter of the walker starts
-        "proposal_scale_log": 0.4,
-        "adapt_window": 60,
-        "warn_accept_range": (0.9, 1.0),
-        "init": "prior",
         "init_rank": 1,
-        "n_walkers": 18,
-        "stretch_a": 2.5,
         "burn_sweeps": 199,
         "thin_sweeps": 4,
     }
@@ -235,18 +218,15 @@ class TestEveryKnobIsRead:
         base, base_warnings = self._run(McmcConfig())
         assert base_warnings == []
         for name, value in self.MOVED.items():
-            draws, caught = self._run(replace(McmcConfig(), **{name: value}))
-            if name == "warn_accept_range":
-                assert np.array_equal(draws, base)
-                assert any("acceptance rate" in msg for msg in caught)
-            else:
-                assert not np.array_equal(draws, base), name
+            draws, _ = self._run(replace(McmcConfig(), **{name: value}))
+            assert not np.array_equal(draws, base), name
 
-    @pytest.mark.parametrize("init", ["prior ", "Prior", "random"])
-    def test_misspelt_init_is_rejected(self, init):
-        # any other value would silently run the search start
-        with pytest.raises(ValueError, match="'search' or 'prior'"):
-            self._run(replace(McmcConfig(), init=init))
+    def test_rate_outside_the_range_warns_and_keeps_the_draws(self, monkeypatch):
+        base, _ = self._run(McmcConfig())
+        monkeypatch.setattr(otbayes.bayes, "_WARN_ACCEPT_RANGE", (0.9, 1.0))
+        draws, caught = self._run(McmcConfig())
+        assert np.array_equal(draws, base)
+        assert any("acceptance rate" in msg for msg in caught)
 
 
 class TestEveryBwbFieldIsRead:
@@ -309,13 +289,12 @@ class TestPosteriorModels:
         rng = np.random.default_rng(4)
         prior = ParamPrior(3)
         gen = Generator.standard_normal(3)
-        chain = _quiet_chain(prior, Dataset.empty(3), 3000,
-                             McmcConfig(init="prior"), rng, gen)
+        chain = _quiet_chain(prior, Dataset.empty(3), 3000, McmcConfig(), rng, gen)
         dist = posterior_models(chain, gen, prior)
         avg_cov = np.mean([m.scatter_sq for m in dist.support], axis=0)
 
         oracle_rng = np.random.default_rng(99)
-        draws = [prior.covariance_of(prior.sample(oracle_rng)) for _ in range(4000)]
+        draws = [_covariance(prior, prior.sample(oracle_rng)) for _ in range(4000)]
         oracle = np.mean(draws, axis=0)
         assert np.max(np.abs(avg_cov - oracle)) < 0.15
 
@@ -324,7 +303,7 @@ class TestModelAverage:
     def test_point_mass_returns_component(self):
         gen = Generator.standard_normal(2)
         m = make_ls_model(gen, [0.0, 0.0], np.eye(2))
-        mix = model_average(ModelDistribution.point_mass(m))
+        mix = model_average(ModelDistribution(support=[m]))
         x = np.array([[0.3, -0.2]])
         assert mix.density(x)[0] == pytest.approx(float(m.density(x)[0]), rel=1e-12)
 
@@ -367,102 +346,6 @@ class TestModelAverage:
         assert draws.mean() == pytest.approx(2.0, abs=0.06)
 
 
-class TestGridAverages:
-    def _gaussian_pair(self):
-        gen = Generator.standard_normal(1)
-        return ModelDistribution(support=[
-            make_ls_model(gen, [0.0], [[1.0]]),
-            make_ls_model(gen, [2.0], [[1.0]]),
-        ])
-
-    def test_point_mass_recovers_model(self):
-        gen = Generator.standard_normal(1)
-        m = make_ls_model(gen, [0.5], [[2.0]])
-        grid = (np.linspace(-6, 7, 801),)
-        dens = m.density(grid[0][:, None])
-        renorm = dens / np.trapezoid(dens, grid[0])  # tables are grid-normalized
-        table = exponential_model_average(ModelDistribution.point_mass(m), grid)
-        assert np.max(np.abs(table.values - renorm)) < 1e-10
-        table2 = square_model_average(ModelDistribution.point_mass(m), grid)
-        assert np.max(np.abs(table2.values - renorm)) < 1e-10
-
-    def test_exponential_average_of_equal_variance_gaussians(self):
-        # completing the square: geometric mean of N(0,1), N(2,1) is N(1,1)
-        grid = (np.linspace(-7, 9, 1601),)
-        table = exponential_model_average(self._gaussian_pair(), grid)
-        target = stats.norm.pdf(grid[0], 1.0, 1.0)
-        assert np.max(np.abs(table.values - target)) < 1e-6
-        assert table.normalization <= 1.0
-        assert table.normalization == pytest.approx(math.exp(-0.5), rel=1e-3)
-
-    def test_square_average_against_quadrature_oracle(self):
-        grid = (np.linspace(-7, 9, 1601),)
-        table = square_model_average(self._gaussian_pair(), grid)
-        unnorm = lambda x: (0.5 * np.sqrt(stats.norm.pdf(x, 0, 1))
-                            + 0.5 * np.sqrt(stats.norm.pdf(x, 2, 1))) ** 2
-        z, _ = integrate.quad(unnorm, -10, 12)
-        expected = unnorm(grid[0]) / z
-        assert np.max(np.abs(table.values - expected)) < 1e-6
-        assert table.integral() == pytest.approx(1.0, abs=1e-6)
-        # single local max between the two component centers
-        dens = table.values
-        signs = np.sign(np.diff(dens))
-        changes = np.sum(np.abs(np.diff(signs[signs != 0])) > 0)
-        assert changes == 1
-
-    def test_averages_coincide_for_point_mass(self):
-        gen = Generator.standard_normal(1)
-        m = make_ls_model(gen, [0.0], [[1.0]])
-        dist = ModelDistribution.point_mass(m)
-        grid = (np.linspace(-5, 5, 401),)
-        bma = model_average(dist).density(grid[0][:, None])
-        bma = bma / np.trapezoid(bma, grid[0])
-        t_exp = exponential_model_average(dist, grid).values
-        t_sq = square_model_average(dist, grid).values
-        assert np.max(np.abs(bma - t_exp)) < 1e-12
-        assert np.max(np.abs(bma - t_sq)) < 1e-12
-
-    def test_2d_grid_normalization(self):
-        gen = Generator.standard_normal(2)
-        dist = ModelDistribution(support=[
-            make_ls_model(gen, [0.0, 0.0], np.eye(2)),
-            make_ls_model(gen, [1.0, 1.0], np.eye(2)),
-        ])
-        grid = (np.linspace(-5, 6, 221), np.linspace(-5, 6, 221))
-        table = square_model_average(dist, grid)
-        assert table.integral() == pytest.approx(1.0, abs=1e-4)
-
-    def test_high_dimension_rejected(self):
-        gen = Generator.standard_normal(3)
-        dist = ModelDistribution.point_mass(make_ls_model(gen, np.zeros(3), np.eye(3)))
-        with pytest.raises(ValueError):
-            exponential_model_average(dist, (np.linspace(-1, 1, 5),) * 3)
-
-    def test_zero_density_regions_map_to_zero(self):
-        from otbayes import Exponential
-
-        gen = Generator([Exponential(1.0)])
-        dist = ModelDistribution(support=[
-            make_ls_model(gen, [0.0], [[1.0]]),
-            make_ls_model(gen, [0.5], [[1.0]]),
-        ])
-        grid = (np.linspace(-2.0, 12.0, 1401),)
-        table = exponential_model_average(dist, grid)
-        # any point where one component vanishes must carry zero density
-        assert np.all(table.values[grid[0] < 0.5] == 0.0)
-        assert table.integral() == pytest.approx(1.0, abs=1e-6)
-
-
-    @pytest.mark.parametrize("average", [exponential_model_average, square_model_average])
-    def test_underflow_everywhere_raises(self, average):
-        # every component density is exactly 0 this far into the tail
-        gen = Generator.standard_normal(1)
-        dist = ModelDistribution(support=[make_ls_model(gen, [0.0], [[1.0]]),
-                                          make_ls_model(gen, [1.0], [[1.0]])])
-        with pytest.raises(ValueError, match="average vanishes on the grid"):
-            average(dist, (np.linspace(99.0, 101.0, 21),))
-
-
 class TestConvexOrderAgainstModelAverage:
     def test_barycenter_dominated_by_mixture(self):
         from otbayes import empirical_barycenter
@@ -490,13 +373,12 @@ class TestBwbEstimator:
         rng = np.random.default_rng(0)
         prior = ParamPrior(1, fixed_covariance=np.eye(1))
         gen = Generator.standard_normal(1)
-        cfg = BwbConfig(k=5, mcmc=McmcConfig(proposal_scale_b=1e-12,
-                                             proposal_scale_log=1e-12, init="prior"))
+        cfg = BwbConfig(k=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             model, diag = bwb_estimator(prior, Dataset.empty(1), cfg, rng, gen)
         assert diag.n_models == 5
-        assert diag.residual < 1e-9  # all support members identical
+        assert diag.residual < 1e-9
 
     def test_conjugate_setting_matches_posterior_mean(self):
         rng = np.random.default_rng(123)
@@ -570,7 +452,7 @@ def _reference_log_density(target, phi):
         lp += float(np.sum(phi[q:]))
     if data.n == 0:
         return lp
-    vals, vecs = np.linalg.eigh(prior.covariance_of(theta))
+    vals, vecs = np.linalg.eigh(_covariance(prior, theta))
     if vals[0] <= 0.0:
         return -math.inf
     root = np.sqrt(vals)
@@ -640,9 +522,8 @@ class TestBatchedLogPosterior:
 def _per_walker_ensemble(target, k, mcmc, rng):
     """Red-black stretch-move sweep scoring one walker at a time."""
     dim = target.prior.n_params
-    n_walk = mcmc.n_walkers or max(2 * dim + 2, 16)
-    n_walk += n_walk % 2
-    a = mcmc.stretch_a
+    n_walk = max(2 * dim + 2, otbayes.bayes._MIN_WALKERS)
+    a = otbayes.bayes._STRETCH_A
     walkers = _walker_seeds(target, rng, mcmc, n_walk)
     lps = np.array([target.log_density(w) for w in walkers])
     bad = ~np.isfinite(lps)
@@ -677,7 +558,7 @@ def _per_walker_ensemble(target, k, mcmc, rng):
         return -0.5 * float(z @ z) - fit[3]
 
     for sweep in range(1, total_sweeps + 1):
-        independence = sweep > 2 * mcmc.adapt_window and sweep % 3 == 0
+        independence = sweep > 2 * otbayes.bayes._ADAPT_WINDOW and sweep % 3 == 0
         for half, other in (halves, halves[::-1]):
             idx = np.where(half)[0]
             partners = np.where(other)[0]
@@ -711,12 +592,14 @@ def _per_walker_ensemble(target, k, mcmc, rng):
 
 
 class TestEnsembleMatchesPerWalkerSweep:
-    def test_draws_and_acceptance_equal(self):
+    def test_draws_and_acceptance_equal(self, monkeypatch):
+        # a short window, so the short chain makes independence moves
+        monkeypatch.setattr(otbayes.bayes, "_ADAPT_WINDOW", 5)
         gen = Generator([Normal(), Laplace()])
         truth = make_ls_model(gen, [0.5, -1.0], experiment_covariance(2, 0.1, 1.0, 2.0))
         data = Dataset(truth.sample(20, np.random.default_rng(7)))
         target = _TransformedTarget(ParamPrior(2), data, gen)
-        mcmc = McmcConfig(burn_sweeps=30, adapt_window=5)
+        mcmc = McmcConfig(burn_sweeps=30)
         draws, logps, rate = _ensemble_sample(target, 40, mcmc, np.random.default_rng(8))
         ref_draws, ref_logps, ref_rate, moves = _per_walker_ensemble(
             target, 40, mcmc, np.random.default_rng(8))
@@ -846,7 +729,8 @@ class TestCosineKernelClosedForm:
         cfg = ExperimentConfig()
         gen, prior = cfg.generator(), cfg.prior()
         data = Dataset(cfg.true_model().sample(1000, np.random.default_rng([3, 0, 1000])))
-        mcmc = McmcConfig(burn_sweeps=40, adapt_window=10)
+        monkeypatch.setattr(otbayes.bayes, "_ADAPT_WINDOW", 10)
+        mcmc = McmcConfig(burn_sweeps=40)
         chain = _quiet_chain(prior, data, 200, mcmc, np.random.default_rng(5), gen)
         monkeypatch.setattr(otbayes.bayes, "_TransformedTarget", _EighTarget)
         ref = _quiet_chain(prior, data, 200, mcmc, np.random.default_rng(5), gen)
@@ -889,7 +773,7 @@ class TestPosteriorModelRoots:
         draws = np.array([prior.sample(rng) for _ in range(60)])
         got = posterior_models(self._chain(draws), gen, prior).support
         for theta, m in zip(draws, got):
-            ref = sqrtm_psd(prior.covariance_of(theta))
+            ref = sqrtm_psd(_covariance(prior, theta))
             assert np.max(np.abs(m.scatter - ref)) <= 1e-11 * np.max(np.abs(ref))
             assert np.array_equal(m.location, theta[:q])
 

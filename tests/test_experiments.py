@@ -56,9 +56,23 @@ class TestConfig:
         clone = ExperimentConfig.from_json(text)
         assert clone == TINY
 
-    def test_unknown_field_rejected(self):
+    @pytest.mark.parametrize("name", ["not_a_field", "proposal_scale_b", "proposal_scale_log",
+                                      "descent_gamma"])
+    def test_unknown_field_rejected(self, name):
         with pytest.raises(ValueError, match="unknown config fields"):
-            ExperimentConfig.from_json(json.dumps({"not_a_field": 1}))
+            ExperimentConfig.from_json(json.dumps({name: 1}))
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # derive_rng keys streams by the low 32 bits: 2**32 + 123 would draw seed 123's data
+        with pytest.raises(ValueError, match="seed must lie in"):
+            replace(TINY, seed=seed)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            ExperimentConfig.from_json(json.dumps({"seed": seed}))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert replace(TINY, seed=seed).seed == seed
 
     @pytest.mark.parametrize("old, new", [("burn_in", "burn_sweeps"), ("thin", "thin_sweeps"),
                                           ("ot_cap", "ot_samples")])
@@ -300,6 +314,12 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli_main, ["sgd", "--config", "/does/not/exist.json"])
         assert result.exit_code != 0
+
+    def test_seed_past_32_bits_exits_one(self, tmp_path):
+        result = CliRunner().invoke(cli_main, ["sgd", "--seed", str(2**32 + 123),
+                                               "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "seed must lie in" in result.output
 
     def test_malformed_config_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"

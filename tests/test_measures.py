@@ -29,7 +29,6 @@ from otbayes import (
     experiment_covariance,
     make_ls_model,
     mix_quantiles,
-    model_from_dict,
     sample,
 )
 
@@ -110,12 +109,8 @@ class TestGridQuantile:
         u = np.linspace(0.1, 0.9, 33)
         assert np.allclose(g.inverse(g(u)), u, atol=1e-12)
 
-    def test_removed_extrapolate_flag_is_refused(self):
-        payload = GridQuantile([0.2, 0.8], [0.0, 1.0]).to_dict()
-        assert "extrapolate" not in payload
-        assert GridQuantile.from_dict({**payload, "extrapolate": True})(0.9) == pytest.approx(7 / 6)
-        with pytest.raises(ValueError, match="extrapolate"):
-            GridQuantile.from_dict({**payload, "extrapolate": False})
+    def test_ends_extend_linearly(self):
+        assert GridQuantile([0.2, 0.8], [0.0, 1.0])(0.9) == pytest.approx(7 / 6)
 
     def test_grid_model_moments(self):
         # grid built from an exact normal should reproduce its moments
@@ -368,28 +363,7 @@ class TestSummedShapeDensity:
         np.testing.assert_allclose(got[1:], want[1:], rtol=1e-13, atol=0.0)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("model", ALL_PARAMETRIC, ids=lambda m: m.family)
-    def test_univariate_roundtrip(self, model):
-        clone = model_from_dict(model.to_dict())
-        u = np.linspace(0.05, 0.95, 19)
-        assert np.allclose(clone.quantile(u), model.quantile(u), atol=0.0)
-
-    def test_ls_roundtrip(self):
-        gen = Generator.mixed_experiment(4)
-        m = make_ls_model(gen, [1.0, 2.0, 3.0, 4.0], experiment_covariance(4, 0.1, 1.0, 2.0))
-        clone = model_from_dict(m.to_dict())
-        assert np.allclose(clone.scatter, m.scatter)
-        assert np.allclose(clone.location, m.location)
-        assert clone.generator.spec_key() == m.generator.spec_key()
-
-    def test_grid_roundtrip_parallel_arrays(self):
-        g = GridUnivariate(GridQuantile([0.2, 0.5, 0.8], [0.0, 1.0, 4.0]))
-        payload = g.to_dict()
-        assert payload["params"]["levels"] == [0.2, 0.5, 0.8]
-        clone = model_from_dict(payload)
-        assert np.allclose(clone.quantile(np.array([0.35])), g.quantile(np.array([0.35])))
-
+class TestDiscreteMeasure:
     def test_discrete_measure_validation(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.zeros((2, 1)), np.array([0.6, 0.5]))

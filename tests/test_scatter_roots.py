@@ -23,7 +23,6 @@ from otbayes import (
     experiment_covariance,
     gk_step,
     make_ls_model,
-    model_from_dict,
     population_barycenter,
     posterior_models,
 )
@@ -174,10 +173,10 @@ class TestIterates:
             assert m.scatter_inv is m.scatter_inv
             assert np.array_equal(m.scatter_inv, inv_psd(m.scatter))
 
-    def test_model_from_dict_computes_the_inverse_on_first_use(self):
+    def test_public_constructor_computes_the_inverse_on_first_use(self):
         _, _, models = self._setup(6, k=3)
         for m in models:
-            clone = model_from_dict(m.to_dict())
+            clone = LocationScatterModel(m.generator, m.location, m.scatter)
             assert clone._scatter_inv is None
             _assert_iterate(clone)
             assert np.array_equal(clone.scatter_inv, inv_psd(clone.scatter))

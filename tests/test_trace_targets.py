@@ -1,14 +1,22 @@
-"""The benchmark's span tracer resolves every function it wraps, so a
-rename in otbayes fails here and not only in a traced benchmark run."""
+"""The benchmark's view of otbayes: its span tracer resolves every
+function it wraps, every ``ob.<name>`` its workloads use exists, and every
+workload's inputs build, so a rename or a broken set-up fails here and
+not only in a benchmark run."""
 
+import functools
 import pathlib
+import re
 import sys
+
+import pytest
 
 import otbayes  # noqa: F401  (the tracer patches the modules already loaded)
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_resolves_every_target():
@@ -16,3 +24,15 @@ def test_tracer_resolves_every_target():
     assert tracer.names == [name for name, *_ in tracing.TARGETS]
     patched = {id(original) for _, _, original, _ in tracer._patches}
     assert len(patched) == len(tracing.TARGETS)
+
+
+def test_every_name_the_workloads_use_resolves():
+    names = set(re.findall(r"\bob\.([\w.]+)", (PERFBENCH / "workloads.py").read_text()))
+    assert names
+    for name in sorted(names):
+        functools.reduce(getattr, name.split("."), otbayes)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_builds_its_inputs(name):
+    workloads.WORKLOADS[name](1)

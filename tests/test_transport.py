@@ -29,6 +29,7 @@ from otbayes import (
     Laplace,
     Logistic,
     MixtureModel,
+    ModelDistribution,
     Normal,
     QuadratureError,
     QuantileMixModel,
@@ -43,12 +44,14 @@ from otbayes import (
     ot_map_spherical,
     ot_map_univariate,
     sample,
+    variance_of_gradient_estimator,
     w2,
     w2_ls,
     wp_copula,
     wp_univariate,
 )
-from otbayes.transport import ConvexCombinationMap
+from otbayes.linalg import check_symmetric
+from otbayes.transport import AffinePSDMap, ConvexCombinationMap, LsCrossTerms, averaged_map
 
 
 def brute_force_equal_weight_cost(xs, ys, p):
@@ -313,6 +316,40 @@ class TestLsMaps:
         assert closed == pytest.approx(math.sqrt(5.0), abs=1e-12)
         assert closed == pytest.approx(quantile_route, abs=1e-7)
 
+    def test_public_map_constructor_checks_its_matrix(self):
+        b = np.zeros(2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            AffinePSDMap([[1.0, 0.1], [0.0, 1.0]], b, b)
+        with pytest.raises(ValueError, match="must be PSD"):
+            AffinePSDMap([[1.0, 0.0], [0.0, -1.0]], b, b)
+
+    def test_descent_maps_are_built_unchecked(self, monkeypatch):
+        # ls_map_matrix output is exactly symmetric and PSD by congruence;
+        # checking it would return it bit for bit
+        rng = np.random.default_rng(4)
+        models = []
+        for _ in range(6):
+            f = rng.normal(size=(3, 3))
+            models.append(make_ls_model(self.gen3, rng.normal(size=3), f @ f.T + 0.5 * np.eye(3)))
+        names = []
+
+        def counting(*args, **kwargs):
+            names.append(kwargs.get("name"))
+            return check_symmetric(*args, **kwargs)
+
+        monkeypatch.setattr(otbayes.transport, "check_symmetric", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            variance_of_gradient_estimator(models[0], ModelDistribution(support=models), 2, 20, rng)
+        maps = [ot_map_ls(models[0], models[1]),
+                averaged_map(models[0], models),
+                LsCrossTerms(models[0], models).batch_map([1, 2, 2])]
+        assert names == []
+        for t in maps:
+            checked = AffinePSDMap(t.matrix, t.b1, t.b2)
+            assert np.array_equal(checked.matrix, t.matrix)
+        assert names == ["affine map matrix"] * len(maps)
+
 
 class TestCopulaMaps:
     def test_identity_for_identical_marginals(self):
@@ -544,23 +581,12 @@ class TestDiscreteOt:
             hits += abs(est - closed) / closed < 0.10
         assert hits >= 9
 
-    def test_plan_csv_export(self, tmp_path):
-        src = DiscreteMeasure(np.array([[0.0], [2.0]]))
-        dst = DiscreteMeasure(np.array([[1.0], [3.0]]))
-        plan, _ = discrete_ot(src, dst)
-        path = tmp_path / "plan.csv"
-        plan.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "row,col,mass"
-        assert len(rows) == 3
-
 
 class TestConvexCombinationMap:
     def test_weights_validated(self):
-        from otbayes import IdentityMap
-
+        t = ot_map_univariate(Normal(0, 1), Normal(2, 1))
         with pytest.raises(ValueError):
-            ConvexCombinationMap([0.6, 0.6], [IdentityMap(), IdentityMap()])
+            ConvexCombinationMap([0.6, 0.6], [t, t])
 
     def test_combination_applies_pointwise(self):
         t1 = ot_map_univariate(Normal(0, 1), Normal(2, 1))  # x + 2
