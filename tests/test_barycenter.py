@@ -419,6 +419,17 @@ class TestTraceExport:
         assert np.all(np.diff(risks) <= 1e-10)
 
 
+    def test_one_row_per_iteration_at_unit_step(self):
+        # row 0 is the start; every later row is a full fixed-point step
+        dist = ModelDistribution(support=[Normal(0, 1), Normal(2, 3)])
+        _, trace = empirical_barycenter(dist, stop=TIGHT)
+        n = len(trace)
+        assert n >= 2
+        assert trace.iterations == list(range(n))
+        assert trace.gammas == [0.0] + [1.0] * (n - 1)
+        assert len(trace.risk) == len(trace.grad_norm_sq) == len(trace.wall_ms) == n
+
+
 class TestMixedGridSupport:
     def test_grid_member_in_support(self):
         from otbayes import default_levels

@@ -65,6 +65,19 @@ class TestQuantiles:
         u = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(model.cdf(model.quantile(u)) - u)) < 1e-9
 
+    @pytest.mark.parametrize("model,oracle", zip(ALL_PARAMETRIC, [
+        stats.norm(0.3, 1.7),
+        stats.laplace(-1.0, 0.8),
+        stats.t(3.0, 0.5, 1.2),
+        stats.expon(scale=1.0 / 2.5),
+        stats.logistic(0.0, 0.6),
+        stats.gumbel_r(1.0, 2.0),
+    ]), ids=[m.family for m in ALL_PARAMETRIC])
+    def test_quantile_matches_scipy(self, model, oracle):
+        # pins each family's (location, scale, shape) reading, not just self-consistency
+        u = np.linspace(0.01, 0.99, 99)
+        np.testing.assert_allclose(model.quantile(u), oracle.ppf(u), rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("model", ALL_PARAMETRIC, ids=lambda m: m.family)
     def test_quantile_nondecreasing(self, model):
         u = np.linspace(0.001, 0.999, 500)
@@ -111,6 +124,10 @@ class TestGridQuantile:
 
     def test_ends_extend_linearly(self):
         assert GridQuantile([0.2, 0.8], [0.0, 1.0])(0.9) == pytest.approx(7 / 6)
+
+    def test_grid_model_interpolates_between_uneven_knots(self):
+        g = GridUnivariate(GridQuantile([0.2, 0.5, 0.8], [0.0, 1.0, 4.0]))
+        assert np.allclose(g.quantile(np.array([0.35, 0.65])), [0.5, 2.5], atol=1e-15)
 
     def test_grid_model_moments(self):
         # grid built from an exact normal should reproduce its moments

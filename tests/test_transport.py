@@ -459,6 +459,15 @@ class TestDiscreteOt:
         assert plan.cost(2.0) == pytest.approx(1.0, abs=1e-15)
         assert dist == pytest.approx(1.0, abs=1e-15)
 
+    def test_plan_couples_the_sorted_points(self):
+        src = DiscreteMeasure(np.array([[0.0], [2.0]]))
+        dst = DiscreteMeasure(np.array([[1.0], [3.0]]))
+        plan, _ = discrete_ot(src, dst, 2.0)
+        coo = plan.plan
+        entries = sorted((int(r), int(c), float(m)) for r, c, m in zip(coo.row, coo.col, coo.data)
+                         if m != 0.0)
+        assert entries == [(0, 0, pytest.approx(0.5)), (1, 1, pytest.approx(0.5))]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_one_dim_matches_permutation_oracle(self, n):
         rng = np.random.default_rng(n)
