@@ -3,9 +3,20 @@
 Four runners cover the standard study: consistency of the empirical
 posterior in transport distance, barycenter error against the data
 generating model, barycenter versus mixture average, and the batch
-stochastic descent trade-off across batch sizes. Cells (n, k or S,
-replication) own derived counter-based RNG streams, so reports are
-reproducible record-for-record under any execution order.
+stochastic descent trade-off across batch sizes.
+
+The first three read one posterior: each (n, replication) cell samples
+one chain, and with it ``run_all`` emits the cell's consistency,
+barycenter and (at ``compare_n``) compare_bma records, the last two from
+one descent per k. Each of those runners runs the same cell body for its
+own experiment alone, so it gives the records ``run_all`` gives. The
+mixture comparison's truth and mixture clouds draw from their own
+stream. Each sgd cell keeps its own pool chain per n. So ``run_all``
+samples ``len(n_grid) * (replications + 1)`` chains: 44 at desk scale
+and 110 at paper scale. Streams are counter-based and keyed by the
+cell, so reports are reproducible record-for-record under any execution
+order. ``wall_ms`` is the time from the start of the record's cell,
+chain included, to the record.
 """
 
 from __future__ import annotations
@@ -327,8 +338,8 @@ def cell_seed(seed: int, *parts) -> int:
 
 
 def _posterior_cell(cfg: ExperimentConfig, experiment: str, n: int, k_max: int, rep: int):
-    """``(rng, m0, models)``: the cell's stream, the true model and the
-    posterior models of one k_max-draw chain per (n, replication).
+    """``(m0, models)``: the true model and the posterior models of one
+    k_max-draw chain on the ``experiment`` stream of (n, replication).
 
     The dataset is keyed by n alone: replications measure estimator
     variation (chain and descent randomness) around one observed sample,
@@ -349,7 +360,7 @@ def _posterior_cell(cfg: ExperimentConfig, experiment: str, n: int, k_max: int, 
         # initialization sensitivity decaying with chain length
         chain = metropolis_sample(cfg.prior(), data, k_max, cfg.mcmc(init_rank=rep), rng, gen)
         dist = posterior_models(chain, gen, cfg.prior())
-    return rng, m0, dist.support
+    return m0, dist.support
 
 
 def _strided(k: int, k_max: int) -> np.ndarray:
@@ -387,20 +398,91 @@ def _run_cells(cfg: ExperimentConfig, cells, worker, threads: int) -> Experiment
 # ---------------------------------------------------------------------------
 
 
-def _consistency_cell(args):
-    cfg, n, rep = args
+def _bma_to_truth(cfg: ExperimentConfig, m0, dist: ModelDistribution, rng) -> float:
+    """Squared exact-transport distance between an ``ot_samples``-point
+    cloud of the true model and one of the mixture average of ``dist``."""
+    cloud_m0 = sample(m0, cfg.ot_samples, rng)
+    cloud_bma = sample(model_average(dist), cfg.ot_samples, rng)
+    _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0, assignment_cap=cfg.ot_samples)
+    return w_bma**2
+
+
+def _posterior_records(args) -> tuple:
+    """Records and problems of one ``(cfg, n, replication, experiments)`` cell.
+
+    One chain on the consistency stream serves each experiment named in
+    ``experiments``. consistency records the posterior models' average
+    squared distance to the true model. For each k, one deterministic
+    descent over k draws strided over the chain gives a barycenter, which
+    barycenter records with its fixed-point residual and compare_bma with
+    the mixture average's sampled distance to the truth. The truth and
+    mixture clouds draw from their own stream, so they do not depend on
+    which experiments share the cell. A problem is listed once for each
+    experiment that loses records to it; a descent that stops short of
+    its tolerance is listed as non-converged.
+    """
+    cfg, n, rep, experiments = args
     t0 = time.perf_counter()
     try:
-        _, m0, models = _posterior_cell(cfg, "consistency", n, max(cfg.k_grid), rep)
+        m0, models = _posterior_cell(cfg, "consistency", n, max(cfg.k_grid), rep)
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
-        return [], [(n, None, rep, repr(exc))]
-    d2 = transport.family(m0, *models)(m0, models).w2_sq()
-    wall = 1e3 * (time.perf_counter() - t0)
-    recs = [ExperimentRecord("consistency", n, k, None, rep, "W2sq_post_to_truth",
-                             float(d2[_strided(k, d2.size)].mean()), wall,
-                             cell_seed(cfg.seed, "consistency", n, k, rep))
-            for k in cfg.k_grid]
-    return recs, []
+        return [], [(n, None, rep, repr(exc))] * len(experiments)
+    recs = []
+    bad = []
+    if "consistency" in experiments:
+        d2 = transport.family(m0, *models)(m0, models).w2_sq()
+        wall = 1e3 * (time.perf_counter() - t0)
+        recs.extend(ExperimentRecord("consistency", n, k, None, rep, "W2sq_post_to_truth",
+                                     float(d2[_strided(k, d2.size)].mean()), wall,
+                                     cell_seed(cfg.seed, "consistency", n, k, rep))
+                    for k in cfg.k_grid)
+    descents = [e for e in ("barycenter", "compare_bma") if e in experiments]
+    if not descents:
+        return recs, bad
+    clouds = derive_rng(cfg.seed, "bma-clouds", n, rep)
+    for k in cfg.k_grid:
+        dist = ModelDistribution(support=[models[i] for i in _strided(k, len(models))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                model, trace = empirical_barycenter(dist, cfg.stop_rule())
+                bary_sq = transport.w2_ls(model, m0) ** 2
+            except Exception as exc:  # noqa: BLE001
+                bad.extend([(n, k, rep, repr(exc))] * len(descents))
+                continue
+            for experiment in descents:
+                try:
+                    if experiment == "barycenter":
+                        metric, value = "residual", fixed_point_residual(model, dist)
+                    else:
+                        metric, value = "W2sq_bma_to_truth", _bma_to_truth(cfg, m0, dist, clouds)
+                except Exception as exc:  # noqa: BLE001
+                    bad.append((n, k, rep, repr(exc)))
+                    continue
+                wall = 1e3 * (time.perf_counter() - t0)
+                seed = cell_seed(cfg.seed, experiment, n, k, rep)
+                recs.append(ExperimentRecord(experiment, n, k, None, rep, "W2sq_bary_to_truth",
+                                             bary_sq, wall, seed))
+                recs.append(ExperimentRecord(experiment, n, k, None, rep, metric, value, wall, seed))
+                if not trace.converged:
+                    bad.append((n, k, rep, "nonconverged"))
+    return recs, bad
+
+
+def _consistency_cell(args):
+    return _posterior_records((*args, ("consistency",)))
+
+
+def _barycenter_cell(args):
+    return _posterior_records((*args, ("barycenter",)))
+
+
+def _compare_cell(args):
+    return _posterior_records((*args, ("compare_bma",)))
+
+
+def _replicated(cfg: ExperimentConfig, n_values) -> list:
+    return [(cfg, n, rep) for n in n_values for rep in range(cfg.replications)]
 
 
 def run_posterior_consistency(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -410,68 +492,12 @@ def run_posterior_consistency(cfg: ExperimentConfig, threads: int = 1) -> Experi
     location), replacing a sample-based estimate; k-cells are strided
     subsamples of one chain per (n, replication).
     """
-    cells = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
-    return _run_cells(cfg, cells, _consistency_cell, threads)
-
-
-def _descent_cell(cfg: ExperimentConfig, experiment: str, n: int, rep: int, measure):
-    """Records and problems of one (n, replication) descent cell.
-
-    For each k, the barycenter of k draws strided over the cell's chain
-    is computed by deterministic descent. It is recorded by its squared
-    distance to the true model and by the ``(metric, value)`` pair that
-    ``measure(model, dist, m0, rng)`` returns. A descent that stops short
-    of its tolerance is listed as non-converged.
-    """
-    t0 = time.perf_counter()
-    try:
-        rng, m0, models = _posterior_cell(cfg, experiment, n, max(cfg.k_grid), rep)
-    except Exception as exc:  # noqa: BLE001
-        return [], [(n, None, rep, repr(exc))]
-    recs = []
-    bad = []
-    for k in cfg.k_grid:
-        seed = cell_seed(cfg.seed, experiment, n, k, rep)
-        dist = ModelDistribution(support=[models[i] for i in _strided(k, len(models))])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                model, trace = empirical_barycenter(dist, cfg.stop_rule())
-                metric, value = measure(model, dist, m0, rng)
-        except Exception as exc:  # noqa: BLE001
-            bad.append((n, k, rep, repr(exc)))
-            continue
-        wall = 1e3 * (time.perf_counter() - t0)
-        recs.append(ExperimentRecord(experiment, n, k, None, rep, "W2sq_bary_to_truth",
-                                     transport.w2_ls(model, m0) ** 2, wall, seed))
-        recs.append(ExperimentRecord(experiment, n, k, None, rep, metric, value, wall, seed))
-        if not trace.converged:
-            bad.append((n, k, rep, "nonconverged"))
-    return recs, bad
-
-
-def _barycenter_cell(args):
-    cfg, n, rep = args
-    return _descent_cell(cfg, "barycenter", n, rep, lambda model, dist, m0, rng: (
-        "residual", fixed_point_residual(model, dist)))
+    return _run_cells(cfg, _replicated(cfg, cfg.n_grid), _consistency_cell, threads)
 
 
 def run_barycenter_vs_truth(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Deterministic-descent barycenter error against the true model."""
-    cells = [(cfg, n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
-    return _run_cells(cfg, cells, _barycenter_cell, threads)
-
-
-def _compare_cell(args):
-    cfg, n, rep = args
-
-    def bma_to_truth(model, dist, m0, rng):
-        cloud_m0 = sample(m0, cfg.ot_samples, rng)
-        cloud_bma = sample(model_average(dist), cfg.ot_samples, rng)
-        _, w_bma = transport.discrete_ot(cloud_bma, cloud_m0, 2.0, assignment_cap=cfg.ot_samples)
-        return "W2sq_bma_to_truth", w_bma**2
-
-    return _descent_cell(cfg, "compare_bma", n, rep, bma_to_truth)
+    return _run_cells(cfg, _replicated(cfg, cfg.n_grid), _barycenter_cell, threads)
 
 
 def run_bary_vs_bma(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -480,15 +506,14 @@ def run_bary_vs_bma(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     The barycenter distance is closed form; the mixture has no closed
     form and is estimated by exact transport between sampled clouds.
     """
-    cells = [(cfg, cfg.compare_n, rep) for rep in range(cfg.replications)]
-    return _run_cells(cfg, cells, _compare_cell, threads)
+    return _run_cells(cfg, _replicated(cfg, (cfg.compare_n,)), _compare_cell, threads)
 
 
 def _sgd_cell(args):
     cfg, n = args
     t0 = time.perf_counter()
     try:
-        _, m0, pool = _posterior_cell(cfg, "sgd", n, cfg.sgd_pool, 0)
+        m0, pool = _posterior_cell(cfg, "sgd", n, cfg.sgd_pool, 0)
     except Exception as exc:  # noqa: BLE001
         return [], [(n, None, None, repr(exc))]
     pool_dist = ModelDistribution(support=pool)
@@ -554,12 +579,16 @@ def sgd_trajectory_std(report: ExperimentReport, n: int, s: int,
 
 
 def run_all(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    report = ExperimentReport(cfg)
-    for runner in (run_posterior_consistency, run_barycenter_vs_truth,
-                   run_bary_vs_bma, run_sgd_experiment):
-        part = runner(cfg, threads)
-        report.extend(part.records)
-        report.nonconverged_cells.extend(part.nonconverged_cells)
-        report.failed_cells.extend(part.failed_cells)
+    """The four runners' records merged, from one chain per (n,
+    replication) for every posterior experiment that reads that n."""
+    grid = dict.fromkeys(cfg.n_grid, ("consistency", "barycenter"))
+    grid[cfg.compare_n] = grid.get(cfg.compare_n, ()) + ("compare_bma",)
+    cells = [(cfg, n, rep, experiments) for n, experiments in grid.items()
+             for rep in range(cfg.replications)]
+    report = _run_cells(cfg, cells, _posterior_records, threads)
+    sgd = run_sgd_experiment(cfg, threads)
+    report.extend(sgd.records)
+    report.nonconverged_cells.extend(sgd.nonconverged_cells)
+    report.failed_cells.extend(sgd.failed_cells)
     report.sort()
     return report

@@ -25,7 +25,6 @@ from otbayes import (
     IndependenceCopula,
     Laplace,
     Logistic,
-    McmcConfig,
     ModelDistribution,
     Normal,
     ParamPrior,
@@ -48,10 +47,8 @@ from otbayes import (
 )
 from otbayes.experiments import (
     ExperimentConfig,
-    run_bary_vs_bma,
-    run_barycenter_vs_truth,
-    run_posterior_consistency,
-    run_sgd_experiment,
+    ExperimentReport,
+    run_all,
     sgd_trajectory_std,
 )
 
@@ -77,13 +74,12 @@ def _count_inversions(values):
 @pytest.fixture(scope="session")
 def desk_reports():
     cfg = ExperimentConfig()
-    out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out["consistency"] = run_posterior_consistency(cfg)
-        out["barycenter"] = run_barycenter_vs_truth(cfg)
-        out["compare_bma"] = run_bary_vs_bma(cfg)
-        out["sgd"] = run_sgd_experiment(cfg)
+        report = run_all(cfg)
+    # one report per experiment, as `otbayes all` writes records_<experiment>.csv
+    out = {exp: ExperimentReport(cfg, [r for r in report.records if r.experiment == exp])
+           for exp in ("consistency", "barycenter", "compare_bma", "sgd")}
     return cfg, out
 
 

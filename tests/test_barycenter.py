@@ -36,8 +36,6 @@ from otbayes import (
     risk,
     variance_of_gradient_estimator,
     w2,
-    w2_ls,
-    wp_univariate,
 )
 
 TIGHT = StopRule(rel_tol=1e-10, max_iter=300)

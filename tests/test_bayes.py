@@ -34,7 +34,6 @@ from otbayes import (
     metropolis_sample,
     model_average,
     posterior_models,
-    w2,
     w2_ls,
 )
 import otbayes.bayes

@@ -3,6 +3,7 @@ small-scale smoke runs of every runner, CLI surface."""
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -258,6 +259,51 @@ RUNNERS = {
 }
 
 
+@pytest.fixture(scope="module")
+def all_report():
+    return _quiet(run_all, TINY)
+
+
+class TestSharedPosterior:
+    """run_all samples one chain per (n, replication) for consistency,
+    barycenter and compare_bma, and one pool chain per n for sgd."""
+
+    @pytest.mark.parametrize("threads, cfg", [
+        (1, TINY), (2, TINY), (2, replace(TINY, descent_max_iter=1))],
+        ids=["serial", "threads", "nonconverged"])
+    def test_run_all_equals_the_runners_merged(self, threads, cfg):
+        parts = [_quiet(runner, cfg, threads=threads) for runner in RUNNERS.values()]
+        merged = ExperimentReport(cfg, [r for part in parts for r in part.records])
+        merged.sort()
+        report = _quiet(run_all, cfg, threads=threads)
+        assert _strip_wall(report.records) == _strip_wall(merged.records)
+        assert Counter(report.failed_cells) == Counter(
+            cell for part in parts for cell in part.failed_cells)
+        assert Counter(report.nonconverged_cells) == Counter(
+            cell for part in parts for cell in part.nonconverged_cells)
+
+    def test_compare_and_barycenter_share_each_descent(self, all_report):
+        for k in TINY.k_grid:
+            for rep in range(TINY.replications):
+                bary = all_report.values("barycenter", "W2sq_bary_to_truth",
+                                         n=TINY.compare_n, k=k, replication=rep)
+                comp = all_report.values("compare_bma", "W2sq_bary_to_truth", k=k,
+                                         replication=rep)
+                assert bary.size == 1 and np.array_equal(bary, comp)
+
+    def test_one_chain_per_cell_and_per_sgd_pool(self, monkeypatch):
+        real = otbayes.experiments.metropolis_sample
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(otbayes.experiments, "metropolis_sample", counting)
+        _quiet(run_all, TINY)
+        assert len(calls) == len(TINY.n_grid) * TINY.replications + len(TINY.n_grid)
+
+
 class TestCellProblems:
     @pytest.mark.parametrize("experiment", sorted(RUNNERS))
     def test_failed_chain_is_reported_without_records(self, experiment, monkeypatch):
@@ -278,6 +324,26 @@ class TestCellProblems:
         assert not any(r.n == bad_n for r in report.records)
         if experiment != "compare_bma":
             assert {r.n for r in report.records} == set(TINY.n_grid) - {bad_n}
+
+    @pytest.mark.parametrize("bad_n", [TINY.n_grid[0], TINY.compare_n])
+    def test_failed_chain_in_run_all_drops_only_its_cell(self, bad_n, all_report, monkeypatch):
+        bad_rep = 1  # sgd's pool chain is replication 0's, so it stays whole
+        real = otbayes.experiments._posterior_cell
+        exc = RuntimeError("chain broke")
+
+        def flaky(cfg, exp, n, k_max, rep):
+            if (n, rep) == (bad_n, bad_rep):
+                raise exc
+            return real(cfg, exp, n, k_max, rep)
+
+        monkeypatch.setattr(otbayes.experiments, "_posterior_cell", flaky)
+        report = _quiet(run_all, TINY)
+        # listed once per experiment that lost records, as the runners merged list it
+        lost = 3 if bad_n == TINY.compare_n else 2
+        assert report.failed_cells == [(bad_n, None, bad_rep, repr(exc))] * lost
+        kept = [r for r in all_report.records
+                if (r.n, r.replication) != (bad_n, bad_rep) or r.experiment == "sgd"]
+        assert _strip_wall(report.records) == _strip_wall(kept)
 
     @pytest.mark.parametrize("experiment", ["barycenter", "compare_bma"])
     def test_nonconverged_descent_is_listed(self, experiment):
