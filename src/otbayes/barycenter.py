@@ -9,10 +9,14 @@ and the scatter fixed-point recursion for affine families.
 
 Each family-specific quantity is read from the iterate's row of the
 family table in :mod:`transport` (``transport.family``), built once per
-iterate against the weighted support. ``empirical_barycenter`` shares
-that row between the iterate's risk and gradient norm and the step to
-the next iterate; for scatter-location models it holds the cross terms
-(A0 S_m A0)^{1/2} of one stacked eigendecomposition.
+iterate against the weighted support. A finite ``ModelDistribution``
+keeps the row of the last iterate it was asked for:
+``empirical_barycenter`` shares that row between the iterate's risk and
+gradient norm and the step to the next iterate, and the
+``fixed_point_residual`` of the barycenter it returns reuses the
+descent's last row. For scatter-location models a row holds the cross
+terms (A0 S_m A0)^{1/2} of one stacked eigendecomposition; for the
+univariate and copula families its distances take one quadrature call.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ class ModelDistribution:
     """Finite support with weights, or a sampler of i.i.d. models.
 
     Finite mode represents an empirical measure over models; sampler mode
-    represents a population only accessible through draws.
+    represents a population only accessible through draws. A finite
+    distribution keeps the family row of the last iterate :meth:`row`
+    built; its support is a tuple and its weights are read-only, so that
+    row cannot go stale.
     """
 
     def __init__(self, support=None, weights=None, sampler: Optional[Callable] = None):
@@ -50,13 +57,15 @@ class ModelDistribution:
         if sampler is not None and weights is not None:
             raise ValueError("weights apply to a finite support, not to a sampler")
         self.sampler = sampler
+        self._row = None
         if support is not None:
-            support = list(support)
+            support = tuple(support)
             if not support:
                 raise ValueError("support must be non-empty")
             if weights is None:
                 weights = np.full(len(support), 1.0 / len(support))
-            weights = np.asarray(weights, dtype=float)
+            weights = np.array(weights, dtype=float)
+            weights.setflags(write=False)
             if weights.shape != (len(support),) or np.any(weights < 0.0):
                 raise ValueError("weights must be a nonnegative vector matching the support")
             if abs(weights.sum() - 1.0) > 1e-12:
@@ -71,6 +80,17 @@ class ModelDistribution:
     @property
     def is_finite(self) -> bool:
         return self.support is not None
+
+    def row(self, mu):
+        """The family row of ``mu`` against the finite support (see
+        :func:`transport.family`): the kept one when it was built at this
+        very ``mu``, else a new one, which is then kept."""
+        row = self._row
+        if row is None or row.mu is not mu:
+            # the support was checked against itself when it was given
+            row = transport.family(mu, self.support[0])(mu, self.support, self.weights)
+            self._row = row
+        return row
 
     def draw(self, rng: np.random.Generator):
         if self.is_finite:
@@ -183,19 +203,18 @@ def _row(mu, models, weights, cross):
     return cross
 
 
-def gk_step(mu, dist: ModelDistribution, gamma: float, *, cross=None):
+def gk_step(mu, dist: ModelDistribution, gamma: float):
     """One deterministic descent step: push mu through the lambda-averaged
     optimal map, damped by gamma. gamma = 1 is the plain fixed-point
-    iteration (and the optimal choice); gamma = 0 is a no-op. ``cross``
-    passes on the iterate's family row against the support (see
-    :func:`transport.family`) when the caller already holds it."""
+    iteration (and the optimal choice); gamma = 0 is a no-op. The step
+    reads ``dist.row(mu)``."""
     if not dist.is_finite:
         raise ValueError("gk_step requires a finitely supported distribution")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    return _row(mu, dist.support, dist.weights, cross).step(gamma)
+    return dist.row(mu).step(gamma)
 
 
 def batch_sgd_step(mu, batch: Sequence, gamma: float):
@@ -217,7 +236,8 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
 def risk(mu, models, weights=None, *, cross=None) -> float:
     """Half the weighted average squared distance from mu to the models.
 
-    ``cross``: the iterate's family row, as for :func:`gk_step`."""
+    ``cross`` passes on the iterate's family row against the models (see
+    :func:`transport.family`) when the caller already holds it."""
     row = _row(mu, models, weights, cross)
     return 0.5 * math.fsum(row.weights * row.w2_sq())
 
@@ -234,11 +254,13 @@ def fixed_point_residual(mu_hat, dist: ModelDistribution) -> float:
     scatter-location models this is the Frobenius gap ``|avg A - I|_F`` of
     the averaged linear parts; for the other families it is the
     L2(mu_hat) norm of the averaged displacement. To check a population
-    barycenter, pass a finite sample of the population.
+    barycenter, pass a finite sample of the population. It reads
+    ``dist.row(mu_hat)``, so right after :func:`empirical_barycenter` it
+    builds no row.
     """
     if not dist.is_finite:
         raise ValueError("fixed_point_residual requires a finitely supported distribution")
-    return _row(mu_hat, dist.support, dist.weights, None).residual()
+    return dist.row(mu_hat).residual()
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +273,28 @@ def empirical_barycenter(dist: ModelDistribution, stop: StopRule = StopRule()):
 
     Iterates the averaged-map operator (unit steps of :func:`gk_step`)
     until the relative change of the risk falls below ``stop.rel_tol``.
+    Each iterate's row (``dist.row``) serves its risk, gradient norm and
+    step; ``dist`` keeps the last one, which the returned model's
+    :func:`fixed_point_residual` then reads.
     Returns ``(model, trace)``; a run that hits ``stop.max_iter`` is
     returned with ``trace.converged = False``.
     """
     if not dist.is_finite:
         raise ValueError("empirical_barycenter requires finite support")
     support, weights = dist.support, dist.weights
-    # one row per iterate; the support was checked when dist was built
-    row = transport.family(support[0])
     trace = DescentTrace()
     t0 = time.perf_counter()
     mu = support[0]
-    cross = row(mu, support, weights)
-    f_prev = risk(mu, support, weights, cross=cross)
-    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, support, weights, cross=cross),
+    row = dist.row(mu)
+    f_prev = risk(mu, support, weights, cross=row)
+    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, support, weights, cross=row),
                  1e3 * (time.perf_counter() - t0))
     converged = False
     for it in range(1, stop.max_iter + 1):
-        mu = gk_step(mu, dist, 1.0, cross=cross)
-        cross = row(mu, support, weights)
-        f_cur = risk(mu, support, weights, cross=cross)
-        trace.record(it, 1.0, f_cur, _grad_norm_sq(mu, support, weights, cross=cross),
+        mu = gk_step(mu, dist, 1.0)
+        row = dist.row(mu)
+        f_cur = risk(mu, support, weights, cross=row)
+        trace.record(it, 1.0, f_cur, _grad_norm_sq(mu, support, weights, cross=row),
                      1e3 * (time.perf_counter() - t0))
         if f_prev <= 1e-300:
             converged = True

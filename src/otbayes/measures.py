@@ -994,9 +994,10 @@ def cosine_kernel_whitening(q: int, eps, sigma, omega):
     with np.errstate(invalid="ignore", over="ignore"):
         u, lam, e, low = _cosine_kernel_spectrum(q, eps, sigma, omega)
         ok = np.isfinite(e).all(axis=1) & (low > q * 2.0**-52 * e[:, 0])
-    eps, sigma = np.where(ok, eps, 1.0), np.where(ok, sigma, 1.0)
-    e = np.where(ok[:, None], e, 1.0)
-    u = np.where(ok[:, None, None], u, 0.0)
+    if not ok.all():
+        eps, sigma = np.where(ok, eps, 1.0), np.where(ok, sigma, 1.0)
+        e = np.where(ok[:, None], e, 1.0)
+        u = np.where(ok[:, None, None], u, 0.0)
     root_eps, root_e = np.sqrt(eps)[:, None], np.sqrt(e)
     if q <= 2:
         # lam[:, 0] >= q / 2; the second eigenvector is the first turned

@@ -8,7 +8,11 @@ general weights, merge scan in one dimension) covers empirical clouds.
 
 The family table at the end holds one row per family; :func:`family` is
 the one place that decides a model's family and checks models against
-each other.
+each other. A row takes the distances from its iterate to all its
+models in one stacked evaluation: one tanh-sinh call over the tails of
+every univariate pair (every marginal's, for copulas), the radial nodes
+once for spherical models, one stacked root for scatter-location
+models. The pair functions are the one-pair case of that code.
 
 All functions are pure; no shared mutable state.
 """
@@ -191,50 +195,76 @@ def _gauss_legendre_segments(f_vec, edges: np.ndarray, order: int = 12) -> float
     return float(np.dot(w, f_vec(u)))
 
 
-def wp_univariate(m1: UnivariateModel, m2: UnivariateModel, p: float = 2.0) -> float:
-    """p-Wasserstein distance on the line via the quantile formula.
+def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
+    """``W_p^p`` of each univariate pair ``(m1, m2)`` by the quantile formula.
 
     ``W_p^p = integral_0^1 |Q_1(u) - Q_2(u)|^p du``. The lower tail is
     integrated in u over (0, a) and the upper tail in v = 1 - u over
     (0, b), through ``upper_quantile``, so both endpoint singularities sit
-    at 0 where the levels keep full relative precision. Both tails go to
-    one vectorized tanh-sinh call (Takahasi & Mori 1974), which evaluates
-    every node of a level at once. Without breakpoints a = b = 1/2; grids
-    contribute their knot levels as breakpoints, a is the first and b is 1
-    minus the last, and the gap between them is integrated by 12-point
-    Gauss-Legendre per segment. :class:`QuadratureError` is raised when
-    the value is not finite, when a tail did not converge, or when the
-    summed error estimate exceeds ``max(1e-9, 1e-6 |value|)``.
+    at 0 where the levels keep full relative precision. The tails of all
+    pairs go to one vectorized tanh-sinh call (Takahasi & Mori 1974),
+    which evaluates every node of a level at once, each distinct model's
+    quantile in one call. Without breakpoints a = b = 1/2; grids
+    contribute their knot levels as breakpoints, a is a pair's first and
+    b is 1 minus its last, and the gap between them is integrated by
+    12-point Gauss-Legendre per segment. Pair by pair, in order,
+    :class:`QuadratureError` is raised when the value is not finite, when
+    a tail did not converge, or when the summed error estimate exceeds
+    ``max(1e-9, 1e-6 |value|)``.
     """
     if p < 1.0:
         raise ValueError("order p must be >= 1")
-    bp = np.unique(np.concatenate([m1.breakpoints(), m2.breakpoints()]))
-    bp = bp[(bp > 0.0) & (bp < 1.0)]
+    first: dict = {}
+    index = np.array([[first.setdefault(id(m), len(first)) for m in pair] for pair in pairs])
+    models = list({id(m): m for pair in pairs for m in pair}.values())
+    ends = np.full((len(pairs), 2), 0.5)
+    core = np.zeros(len(pairs))
+    for i, (m1, m2) in enumerate(pairs):
+        bp = np.unique(np.concatenate([m1.breakpoints(), m2.breakpoints()]))
+        bp = bp[(bp > 0.0) & (bp < 1.0)]
+        if bp.size:
+            ends[i] = bp[0], 1.0 - bp[-1]
+        if bp.size > 1:
+            core[i] = _gauss_legendre_segments(
+                lambda u: np.abs(m1.quantile(u) - m2.quantile(u)) ** p, bp)
 
-    def tails(t, upper):
-        # tanh-sinh may probe the endpoint 0 itself, with zero weight
-        t = np.maximum(t, _U_LO)
-        upper = np.broadcast_to(upper, t.shape) > 0.0
-        lower = ~upper
-        gap = np.empty_like(t)
-        gap[lower] = m1.quantile(t[lower]) - m2.quantile(t[lower])
-        gap[upper] = m1.upper_quantile(t[upper]) - m2.upper_quantile(t[upper])
-        return np.abs(gap) ** p
+    def tails(t, a, b, upper):
+        # one row of t per tail; tanh-sinh may probe the endpoint 0
+        # itself, with zero weight
+        shape = t.shape
+        a, b, upper = a.ravel(), b.ravel(), upper.ravel()
+        t = np.maximum(t, _U_LO).reshape(a.size, -1)
+        qa, qb = np.empty_like(t), np.empty_like(t)
+        for j in np.unique(np.concatenate([a, b])):
+            for up in (0, 1):
+                on_a, on_b = (a == j) & (upper == up), (b == j) & (upper == up)
+                rows = on_a | on_b
+                if rows.any():
+                    q = (models[j].upper_quantile if up else models[j].quantile)(t[rows])
+                    qa[on_a], qb[on_b] = q[on_a[rows]], q[on_b[rows]]
+        return (np.abs(qa - qb) ** p).reshape(shape)
 
-    if bp.size == 0:
-        ends, core = [0.5, 0.5], 0.0
-    else:
-        ends = [bp[0], 1.0 - bp[-1]]
-        core = _gauss_legendre_segments(lambda u: tails(u, 0.0), bp) if bp.size > 1 else 0.0
-    res = tanhsinh(tails, 0.0, ends, args=(np.array([0.0, 1.0]),), atol=1e-13, rtol=1e-11)
-    val = core + float(np.sum(res.integral))
-    err = float(np.sum(np.where(res.success, res.error, np.inf)))
+    res = tanhsinh(tails, 0.0, ends.ravel(),
+                   args=(index[:, 0].repeat(2), index[:, 1].repeat(2), np.tile([0, 1], len(pairs))),
+                   atol=1e-13, rtol=1e-11)
+    integral = res.integral.reshape(-1, 2)
+    vals = core + (integral[:, 0] + integral[:, 1])
+    errs = np.where(res.success, res.error, np.inf).reshape(-1, 2).sum(axis=1)
+    for val, err in zip(vals, errs):
+        if not np.isfinite(val):
+            raise QuadratureError("quantile integral did not converge",
+                                  achieved_tolerance=float(err))
+        if err > max(1e-9, 1e-6 * abs(val)):
+            raise QuadratureError("quantile integral tolerance not reached",
+                                  achieved_tolerance=float(err))
+    return np.maximum(vals, 0.0)
 
-    if not np.isfinite(val):
-        raise QuadratureError("quantile integral did not converge", achieved_tolerance=err)
-    if err > max(1e-9, 1e-6 * abs(val)):
-        raise QuadratureError("quantile integral tolerance not reached", achieved_tolerance=err)
-    return max(val, 0.0) ** (1.0 / p)
+
+def wp_univariate(m1: UnivariateModel, m2: UnivariateModel, p: float = 2.0) -> float:
+    """p-Wasserstein distance on the line via the quantile formula; the
+    one-pair case of :func:`_wp_pow`, which says how it is integrated and
+    when it raises :class:`QuadratureError`."""
+    return float(_wp_pow([(m1, m2)], p)[0]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +317,10 @@ def ot_map_copula(m1: CopulaModel, m2: CopulaModel) -> CoordinatewiseMap:
 
 
 def wp_copula(m1: CopulaModel, m2: CopulaModel, p: float = 2.0) -> float:
+    """``(sum_j W_p(marginal_j)^p)^{1/p}``, all marginals in one
+    :func:`_wp_pow` call."""
     family(m1, m2)
-    total = math.fsum(
-        wp_univariate(a, b, p) ** p for a, b in zip(m1.marginals, m2.marginals)
-    )
-    return total ** (1.0 / p)
+    return math.fsum(_wp_pow(list(zip(m1.marginals, m2.marginals)), p)) ** (1.0 / p)
 
 
 def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
@@ -312,17 +341,10 @@ def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
 
 
 def w2_spherical(m1: SphericalModel, m2: SphericalModel) -> float:
-    """L2 gap between profiles under the generator's radial law."""
+    """L2 gap between profiles under the generator's radial law; the
+    one-pair case of :meth:`SphericalRow.w2_sq`."""
     family(m1, m2)
-    nodes, weights = gauss_legendre(512)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    lo, hi = 1e-6, 1.0 - 1e-6
-    nodes = lo + (hi - lo) * nodes
-    weights = (hi - lo) * weights
-    r = m1.generator.radial_quantile(nodes)
-    gap = m1.alpha(r) - m2.alpha(r)
-    return math.sqrt(max(float(np.dot(weights, gap * gap)), 0.0))
+    return math.sqrt(SphericalRow(m1, [m2]).w2_sq()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +518,6 @@ class FamilyRow:
         self.weights = (np.full(len(models), 1.0 / len(models)) if weights is None
                         else np.asarray(weights, dtype=float))
 
-    def w2_sq(self) -> np.ndarray:
-        """Per-model ``W_2(mu, m)^2``."""
-        return np.array([self.w2(self.mu, m) ** 2 for m in self.models])
-
     def residual(self) -> float:
         """L2(mu) norm of the averaged displacement."""
         return math.sqrt(max(self.grad_norm_sq(), 0.0))
@@ -527,6 +545,10 @@ class UnivariateRow(FamilyRow):
     model_type = UnivariateModel
     w2 = staticmethod(lambda m1, m2: wp_univariate(m1, m2, 2.0))
     ot_map = staticmethod(lambda m1, m2: ot_map_univariate(m1, m2))
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model ``W_2(mu, m)^2``, all tails in one :func:`_wp_pow` call."""
+        return _wp_pow([(self.mu, m) for m in self.models])
 
     def step(self, gamma):
         coeffs = np.concatenate([[1.0 - gamma], gamma * self.weights])
@@ -634,6 +656,19 @@ class SphericalRow(FamilyRow):
     w2 = staticmethod(lambda m1, m2: w2_spherical(m1, m2))
     ot_map = staticmethod(lambda m1, m2: ot_map_spherical(m1, m2))
 
+    def w2_sq(self) -> np.ndarray:
+        """Per-model squared L2 gap between profiles under the generator's
+        radial law: 512 Gauss-Legendre levels in [1e-6, 1 - 1e-6], whose
+        radii are taken once for all models."""
+        nodes, weights = gauss_legendre(512)
+        lo, hi = 1e-6, 1.0 - 1e-6
+        nodes = lo + (hi - lo) * (0.5 * (nodes + 1.0))
+        weights = (hi - lo) * (0.5 * weights)
+        r = self.mu.generator.radial_quantile(nodes)
+        alpha = self.mu.alpha(r)
+        gaps = [alpha - m.alpha(r) for m in self.models]
+        return np.array([max(float(np.dot(weights, gap * gap)), 0.0) for gap in gaps])
+
     def step(self, gamma):
         mu = self.mu
         radii = mu.alpha.radii
@@ -665,6 +700,14 @@ class CopulaRow(FamilyRow):
     def _marginal_rows(self):
         for j, mu_j in enumerate(self.mu.marginals):
             yield UnivariateRow(mu_j, [m.marginals[j] for m in self.models], self.weights)
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model sum of the marginals' ``W_2^2``, every marginal's
+        pairs in one :func:`_wp_pow` call."""
+        marginals = self.mu.marginals
+        pairs = [(mu_j, m.marginals[j]) for m in self.models for j, mu_j in enumerate(marginals)]
+        per_pair = _wp_pow(pairs).reshape(len(self.models), len(marginals))
+        return np.array([math.fsum(row) for row in per_pair])
 
     def step(self, gamma):
         return CopulaModel(self.mu.copula, [row.step(gamma) for row in self._marginal_rows()])

@@ -247,6 +247,73 @@ class TestModelDistribution:
         with pytest.raises(ValueError, match="weights"):
             ModelDistribution(sampler=lambda r: Normal(r.normal(), 1.0), weights=[1.0])
 
+    def test_support_and_weights_cannot_change(self):
+        weights = np.array([0.25, 0.75])
+        dist = ModelDistribution(support=[Normal(0, 1), Normal(1, 1)], weights=weights)
+        assert isinstance(dist.support, tuple)
+        with pytest.raises(ValueError):
+            dist.weights[0] = 0.5
+        weights[0] = 0.5  # the caller's array is not frozen, nor shared
+        assert dist.weights[0] == 0.25
+
+
+def _ls_cloud(rng, k, q=3):
+    gen = Generator.standard_normal(q)
+    models = []
+    for _ in range(k):
+        f = rng.normal(size=(q, q))
+        models.append(make_ls_model(gen, rng.normal(size=q), f @ f.T / q + 0.2 * np.eye(q)))
+    return models
+
+
+class TestKeptRow:
+    """A finite distribution keeps the row of its last iterate, so the
+    residual after a descent builds none."""
+
+    def test_residual_after_descent_reuses_the_last_row(self, monkeypatch):
+        import otbayes.transport
+
+        dist = ModelDistribution(support=_ls_cloud(np.random.default_rng(8), 12))
+        bary, _ = empirical_barycenter(dist)
+        real, calls = otbayes.transport.sqrtm_psd, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(otbayes.transport, "sqrtm_psd", counted)
+        kept = fixed_point_residual(bary, dist)
+        assert calls == []
+        fresh = fixed_point_residual(bary, ModelDistribution(support=dist.support))
+        assert len(calls) == 1
+        assert kept == fresh
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: _ls_cloud(rng, 6),
+        lambda rng: [Normal(rng.normal(), 1.0 + rng.uniform()) for _ in range(4)],
+    ])
+    def test_another_iterate_or_distribution_gets_a_fresh_row(self, make):
+        models = make(np.random.default_rng(9))
+        dist = ModelDistribution(support=models)
+        row = dist.row(models[0])
+        assert dist.row(models[0]) is row and row.mu is models[0]
+        other = dist.row(models[1])
+        assert other is not row and other.mu is models[1]
+        assert dist.row(models[0]) is not row
+        twin = ModelDistribution(support=models)
+        assert twin.row(models[0]) is not dist.row(models[0])
+
+    def test_an_equal_but_distinct_iterate_gets_a_fresh_row(self):
+        dist = ModelDistribution(support=[Normal(0, 1), Normal(2, 3)])
+        mu = Normal(1, 2)
+        row = dist.row(mu)
+        assert dist.row(Normal(1, 2)) is not row
+
+    def test_an_incompatible_iterate_is_refused(self):
+        dist = ModelDistribution(support=_ls_cloud(np.random.default_rng(10), 3))
+        with pytest.raises(CompatibilityError):
+            fixed_point_residual(Normal(0, 1), dist)
+
 
 class TestPopulationBarycenter:
     def test_point_population_converges(self):

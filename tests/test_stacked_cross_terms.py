@@ -173,7 +173,7 @@ class TestStackedMatchesPerModel:
             mu, dist.support, dist.weights)
         assert _grad_norm_sq(mu, dist.support, dist.weights, cross=cross) == _grad_norm_sq(
             mu, dist.support, dist.weights)
-        shared, fresh = gk_step(mu, dist, 1.0, cross=cross), gk_step(mu, dist, 1.0)
+        shared, fresh = cross.step(1.0), gk_step(mu, dist, 1.0)
         assert np.array_equal(shared.scatter, fresh.scatter)
 
     def test_cross_terms_of_another_iterate_rejected(self):

@@ -1,7 +1,8 @@
 """The benchmark's view of otbayes: its span tracer resolves every
-function it wraps, every ``ob.<name>`` its workloads use exists, and every
-workload's inputs build, so a rename or a broken set-up fails here and
-not only in a benchmark run."""
+function it wraps, every ``ob.<name>`` its workloads use exists, every
+workload's inputs build and one round of each passes its checks at seed
+1, so a rename, a broken set-up or a wrong result fails here and not only
+in a benchmark run."""
 
 import functools
 import pathlib
@@ -36,3 +37,12 @@ def test_every_name_the_workloads_use_resolves():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_builds_its_inputs(name):
     workloads.WORKLOADS[name](1)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_round_of_every_workload_passes_its_checks(name):
+    workload = workloads.WORKLOADS[name](1)
+    rnd = workloads.Round()
+    workload.check(rnd, workload.run(rnd))
+    assert rnd.errors == []
+    assert rnd.problems == []

@@ -51,7 +51,16 @@ from otbayes import (
     wp_univariate,
 )
 from otbayes.linalg import check_symmetric
-from otbayes.transport import AffinePSDMap, ConvexCombinationMap, LsCrossTerms, averaged_map
+from otbayes.transport import (
+    AffinePSDMap,
+    ConvexCombinationMap,
+    CopulaRow,
+    LsCrossTerms,
+    SphericalRow,
+    UnivariateRow,
+    averaged_map,
+    w2_spherical,
+)
 
 
 def brute_force_equal_weight_cost(xs, ys, p):
@@ -181,6 +190,96 @@ class TestUnivariateDistance:
         t = ot_map_univariate(src, dst)
         val, _ = integrate.quad(lambda x: (t(x) - x) ** 2 * src.pdf(x), -9, 9, limit=200)
         assert math.sqrt(val) == pytest.approx(wp_univariate(src, dst), abs=1e-6)
+
+
+def _counted_tanhsinh(monkeypatch):
+    """Count the tanh-sinh calls the transport module makes."""
+    real, calls = otbayes.transport.tanhsinh, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(otbayes.transport, "tanhsinh", counted)
+    return calls
+
+
+def _row_members():
+    """One member of each quantile family: the location-scale shapes, t,
+    a grid with knots and a mix of a shape and a grid."""
+    levels = np.linspace(0.03, 0.97, 17)
+    grid = GridUnivariate(GridQuantile(levels, stats.laplace.ppf(levels, 0.4, 1.3)))
+    return [
+        Normal(0.5, 1.4), Laplace(-0.3, 0.8), Logistic(1.0, 0.6), Gumbel(-0.2, 1.1),
+        StudentT(4.0, 0.1, 0.9), grid,
+        QuantileMixModel([0.7, 0.3], [Normal(1.0, 2.0), grid]),
+    ]
+
+
+class TestStackedRows:
+    """Each family row takes its distances in one stacked evaluation that
+    equals the per-model pair functions."""
+
+    @pytest.mark.parametrize("mu_index", [0, 5, 6])
+    def test_univariate_row_equals_the_pair_function(self, monkeypatch, mu_index):
+        members = _row_members()
+        mu = members[mu_index]
+        calls = _counted_tanhsinh(monkeypatch)
+        got = UnivariateRow(mu, members).w2_sq()
+        assert len(calls) == 1
+        want = np.array([wp_univariate(mu, m) ** 2 for m in members])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_copula_row_equals_the_pair_function(self, monkeypatch):
+        members = _row_members()
+        cop = GaussianCopula([[1.0, 0.3], [0.3, 1.0]])
+        models = [CopulaModel(cop, [a, b]) for a, b in zip(members, members[::-1])]
+        mu = CopulaModel(cop, [Normal(0.0, 1.0), members[6]])
+        calls = _counted_tanhsinh(monkeypatch)
+        got = CopulaRow(mu, models).w2_sq()
+        assert len(calls) == 1
+        want = np.array([wp_copula(mu, m) ** 2 for m in models])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_spherical_row_equals_the_pair_function(self):
+        rng = np.random.default_rng(3)
+        gen = Generator.standard_normal(3)
+        radii = np.linspace(0.0, 6.0, 50)
+        cloud = [SphericalModel(gen, RadialProfile(radii, rng.uniform(0.5, 2.0) * radii
+                                                   + rng.uniform(0.0, 0.2) * radii**2))
+                 for _ in range(6)]
+        got = SphericalRow(cloud[0], cloud).w2_sq()
+        want = np.array([w2_spherical(cloud[0], m) ** 2 for m in cloud])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert got[0] == 0.0
+
+    def test_a_failing_pair_raises_through_the_row(self):
+        mu = Normal(0.0, 1.0)
+        with pytest.raises(QuadratureError):
+            wp_univariate(mu, StudentT(2.0))
+        with pytest.raises(QuadratureError):
+            UnivariateRow(mu, [Laplace(0.0, 1.0), StudentT(2.0), Normal(1.0, 1.0)]).w2_sq()
+        cop = IndependenceCopula()
+        with pytest.raises(QuadratureError):
+            CopulaRow(CopulaModel(cop, [mu, mu]),
+                      [CopulaModel(cop, [mu, Laplace(0.0, 1.0)]),
+                       CopulaModel(cop, [Normal(1.0, 1.0), StudentT(1.0)])]).w2_sq()
+
+    @pytest.mark.parametrize("failed_tail", [2, 3])
+    def test_one_unconverged_tail_fails_its_own_pair(self, monkeypatch, failed_tail):
+        # elements 2 and 3 are the second pair's lower and upper tails
+        real = otbayes.transport.tanhsinh
+
+        def capped(*args, **kwargs):
+            res = real(*args, **kwargs)
+            success = np.ones_like(res.success)
+            success[failed_tail] = False
+            return SimpleNamespace(integral=res.integral, error=np.full_like(res.error, 1e-15),
+                                   success=success)
+
+        monkeypatch.setattr(otbayes.transport, "tanhsinh", capped)
+        with pytest.raises(QuadratureError, match="tolerance not reached"):
+            UnivariateRow(Normal(0.0, 1.0), [Laplace(0.5, 2.0), Gumbel(0.0, 1.0)]).w2_sq()
 
 
 # standardized shape of each location-scale family and its (mean, variance),
