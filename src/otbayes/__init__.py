@@ -49,14 +49,8 @@ from .transport import (
     TransportMap,
     discrete_ot,
     ot_map,
-    ot_map_copula,
-    ot_map_ls,
-    ot_map_spherical,
-    ot_map_univariate,
     w2,
     w2_ls,
-    w2_spherical,
-    wp_copula,
     wp_univariate,
 )
 from .barycenter import (

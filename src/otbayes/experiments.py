@@ -355,9 +355,8 @@ def _posterior_cell(cfg: ExperimentConfig, experiment: str, n: int, k_max: int, 
     rng = derive_rng(cfg.seed, experiment, n, k_max, rep)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        # overdispersed starts: replication r opens at the r-th best
-        # initializer candidate, so replication spread honestly reflects
-        # initialization sensitivity decaying with chain length
+        # init_rank = rep rotates the starts only among the eligible
+        # candidates, mostly one on the desk grid: see McmcConfig
         chain = metropolis_sample(cfg.prior(), data, k_max, cfg.mcmc(init_rank=rep), rng, gen)
         dist = posterior_models(chain, gen, cfg.prior())
     return m0, dist.support

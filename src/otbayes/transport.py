@@ -1,4 +1,4 @@
-"""Closed-form optimal transport maps and Wasserstein distances.
+"""Closed-form optimal transport maps and 2-Wasserstein distances.
 
 One executable map type per family: monotone rearrangements on the line,
 coordinatewise maps under a shared copula, radial maps for spherically
@@ -6,13 +6,21 @@ reprofiled models, and symmetric-PSD affine maps for scatter-location
 models. An exact discrete solver (assignment for uniform weights, LP for
 general weights, merge scan in one dimension) covers empirical clouds.
 
-The family table at the end holds one row per family; :func:`family` is
-the one place that decides a model's family and checks models against
-each other. A row takes the distances from its iterate to all its
-models in one stacked evaluation: one tanh-sinh call over the tails of
-every univariate pair (every marginal's, for copulas), the radial nodes
-once for spherical models, one stacked root for scatter-location
-models. The pair functions are the one-pair case of that code.
+The family table at the end holds one row per family, and each row holds
+its family's closed forms; :func:`family` is the one place that decides
+a model's family and checks models against each other. A row takes the
+distances from its iterate to all its models in one stacked evaluation:
+one tanh-sinh call over the tails of every univariate pair (every
+marginal's, for copulas), the radial nodes once for spherical models,
+one stacked root for scatter-location models.
+
+Model distances are W2 only. The public entry points are :func:`w2`,
+:func:`ot_map` and :func:`averaged_map`, which check their models once
+and read one row; :func:`w2_ls`, the scatter-location distance in the
+scatter parameters (its docstring says when that is W2);
+:func:`wp_univariate`, the quantile integral of one pair on the line;
+and :func:`discrete_ot` for point clouds, which with its
+:class:`CouplingPlan` alone takes an order p.
 
 All functions are pure; no shared mutable state.
 """
@@ -177,13 +185,8 @@ class CouplingPlan:
 
 
 # ---------------------------------------------------------------------------
-# Univariate maps and distances
+# Univariate distance
 # ---------------------------------------------------------------------------
-
-
-def ot_map_univariate(src: UnivariateModel, dst: UnivariateModel) -> MonotoneRearrangementMap:
-    """Monotone rearrangement Q_dst o F_src, optimal for every order p."""
-    return MonotoneRearrangementMap(src, dst)
 
 
 def _gauss_legendre_segments(f_vec, edges: np.ndarray, order: int = 12) -> float:
@@ -195,10 +198,11 @@ def _gauss_legendre_segments(f_vec, edges: np.ndarray, order: int = 12) -> float
     return float(np.dot(w, f_vec(u)))
 
 
-def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
-    """``W_p^p`` of each univariate pair ``(m1, m2)`` by the quantile formula.
+def _w2_sq(pairs: Sequence) -> np.ndarray:
+    """``W_2^2`` of each univariate pair ``(m1, m2)`` by the quantile formula.
 
-    ``W_p^p = integral_0^1 |Q_1(u) - Q_2(u)|^p du``. The lower tail is
+    ``W_2^2 = integral_0^1 (Q_1(u) - Q_2(u))^2 du``, smooth where the
+    quantile functions cross. The lower tail is
     integrated in u over (0, a) and the upper tail in v = 1 - u over
     (0, b), through ``upper_quantile``, so both endpoint singularities sit
     at 0 where the levels keep full relative precision. The tails of all
@@ -212,8 +216,6 @@ def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
     a tail did not converge, or when the summed error estimate exceeds
     ``max(1e-9, 1e-6 |value|)``.
     """
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
     first: dict = {}
     index = np.array([[first.setdefault(id(m), len(first)) for m in pair] for pair in pairs])
     models = list({id(m): m for pair in pairs for m in pair}.values())
@@ -226,7 +228,7 @@ def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
             ends[i] = bp[0], 1.0 - bp[-1]
         if bp.size > 1:
             core[i] = _gauss_legendre_segments(
-                lambda u: np.abs(m1.quantile(u) - m2.quantile(u)) ** p, bp)
+                lambda u: (m1.quantile(u) - m2.quantile(u)) ** 2, bp)
 
     def tails(t, a, b, upper):
         # one row of t per tail; tanh-sinh may probe the endpoint 0
@@ -242,7 +244,7 @@ def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
                 if rows.any():
                     q = (models[j].upper_quantile if up else models[j].quantile)(t[rows])
                     qa[on_a], qb[on_b] = q[on_a[rows]], q[on_b[rows]]
-        return (np.abs(qa - qb) ** p).reshape(shape)
+        return ((qa - qb) ** 2).reshape(shape)
 
     res = tanhsinh(tails, 0.0, ends.ravel(),
                    args=(index[:, 0].repeat(2), index[:, 1].repeat(2), np.tile([0, 1], len(pairs))),
@@ -260,15 +262,15 @@ def _wp_pow(pairs: Sequence, p: float = 2.0) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def wp_univariate(m1: UnivariateModel, m2: UnivariateModel, p: float = 2.0) -> float:
-    """p-Wasserstein distance on the line via the quantile formula; the
-    one-pair case of :func:`_wp_pow`, which says how it is integrated and
-    when it raises :class:`QuadratureError`."""
-    return float(_wp_pow([(m1, m2)], p)[0]) ** (1.0 / p)
+def wp_univariate(m1: UnivariateModel, m2: UnivariateModel) -> float:
+    """2-Wasserstein distance on the line via the quantile formula, without
+    a family check; the one-pair case of :func:`_w2_sq`, which says how it
+    is integrated and when it raises :class:`QuadratureError`."""
+    return math.sqrt(_w2_sq([(m1, m2)])[0])
 
 
 # ---------------------------------------------------------------------------
-# Scatter-location, copula and spherical maps and distances
+# Scatter-location distance
 # ---------------------------------------------------------------------------
 
 
@@ -281,18 +283,11 @@ def ls_map_matrix(a1_inv: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def ot_map_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> AffinePSDMap:
-    """Symmetric affine map between scatter-location models with one
-    generator; :func:`w2_ls` says when it is optimal."""
-    family(m1, m2)
-    return AffinePSDMap._built(LsCrossTerms(m1, [m2], [1.0]).map_matrix, m1.location, m2.location)
-
-
 def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
     """``d^2 = |b1 - b2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})``
     in the scatter parameters.
 
-    The symmetric map of :func:`ot_map_ls` sends ``L(A1 X + b1)`` to
+    The symmetric affine map of :func:`ot_map` sends ``L(A1 X + b1)`` to
     ``L(A2 R X + b2)`` with R orthogonal. So d is W2 only when the shared
     generator is rotation-invariant (Gaussian) or the scatters commute.
     Otherwise it is the Gelbrich lower bound in the scatter parameters
@@ -300,51 +295,7 @@ def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
     standardized a parameter-space distance.
     """
     family(m1, m2)
-    return math.sqrt(LsCrossTerms(m1, [m2], [1.0]).w2_sq()[0])
-
-
-def ot_map_copula(m1: CopulaModel, m2: CopulaModel) -> CoordinatewiseMap:
-    """Coordinatewise monotone rearrangement of the marginals.
-
-    Only valid when both models carry the same copula; then the total cost
-    splits as the sum of marginal costs.
-    """
-    family(m1, m2)
-    maps = tuple(
-        ot_map_univariate(a, b) for a, b in zip(m1.marginals, m2.marginals)
-    )
-    return CoordinatewiseMap(maps)
-
-
-def wp_copula(m1: CopulaModel, m2: CopulaModel, p: float = 2.0) -> float:
-    """``(sum_j W_p(marginal_j)^p)^{1/p}``, all marginals in one
-    :func:`_wp_pow` call."""
-    family(m1, m2)
-    return math.fsum(_wp_pow(list(zip(m1.marginals, m2.marginals)), p)) ** (1.0 / p)
-
-
-def ot_map_spherical(m1: SphericalModel, m2: SphericalModel) -> RadialMap:
-    """Radial map with profile alpha2 o alpha1^{-1}.
-
-    Flat segments of alpha1 are merged (1e-12 tolerance) before inversion;
-    a profile flat over the whole support is rejected.
-    """
-    family(m1, m2)
-    a1, a2 = m1.alpha, m2.alpha
-    radii = np.unique(np.concatenate([a1.radii, a2.radii]))
-    v1 = a1(radii)
-    v2 = a2(radii)
-    keep = np.concatenate([[True], np.diff(v1) > 1e-12])
-    if keep.sum() < 2:
-        raise ValueError("source profile is not invertible on the support")
-    return RadialMap(RadialProfile(v1[keep], v2[keep]))
-
-
-def w2_spherical(m1: SphericalModel, m2: SphericalModel) -> float:
-    """L2 gap between profiles under the generator's radial law; the
-    one-pair case of :meth:`SphericalRow.w2_sq`."""
-    family(m1, m2)
-    return math.sqrt(SphericalRow(m1, [m2]).w2_sq()[0])
+    return math.sqrt(LsCrossTerms(m1, [m2]).w2_sq()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +452,14 @@ def discrete_ot(
 
 class FamilyRow:
     """A family's row: its ``model_type``, the ``key`` its models share
-    and the closed-form pair ``w2`` / ``ot_map``. Over an iterate ``mu``
-    and ``models`` (``weights`` uniform when None) it gives the per-model
-    squared distances, the ``step(gamma)``, the squared norm of the
+    and its optimal map ``pair_map(m1, m2)``. Over an iterate ``mu`` and
+    ``models`` (``weights`` uniform when None) it gives the per-model
+    squared W2 distances, the ``step(gamma)``, the squared norm of the
     averaged displacement, the fixed-point residual, the averaged map
-    and the uniform average map of any batch of the models, without
-    checking the models: :func:`family` does that."""
+    and the uniform average map of any batch of the models. Neither the
+    row nor ``pair_map`` checks its models: :func:`family` does that, in
+    the entry points :func:`w2`, :func:`ot_map` and :func:`averaged_map`
+    and in the barycenter drivers."""
 
     model_type: type
     shared = ""  # what the key holds, for the compatibility error
@@ -525,7 +478,7 @@ class FamilyRow:
     @cached_property
     def maps(self) -> list:
         """Per-model optimal maps out of ``mu``."""
-        return [self.ot_map(self.mu, m) for m in self.models]
+        return [self.pair_map(self.mu, m) for m in self.models]
 
     def averaged_map(self) -> TransportMap:
         """``x -> sum_m w_m T_m(x)``, pointwise."""
@@ -543,12 +496,11 @@ class UnivariateRow(FamilyRow):
     """Models on the line: the step averages quantile functions."""
 
     model_type = UnivariateModel
-    w2 = staticmethod(lambda m1, m2: wp_univariate(m1, m2, 2.0))
-    ot_map = staticmethod(lambda m1, m2: ot_map_univariate(m1, m2))
+    pair_map = staticmethod(MonotoneRearrangementMap)
 
     def w2_sq(self) -> np.ndarray:
-        """Per-model ``W_2(mu, m)^2``, all tails in one :func:`_wp_pow` call."""
-        return _wp_pow([(self.mu, m) for m in self.models])
+        """Per-model ``W_2(mu, m)^2``, all tails in one :func:`_w2_sq` call."""
+        return _w2_sq([(self.mu, m) for m in self.models])
 
     def step(self, gamma):
         coeffs = np.concatenate([[1.0 - gamma], gamma * self.weights])
@@ -581,8 +533,11 @@ class LsCrossTerms(FamilyRow):
 
     model_type, shared = LocationScatterModel, "generator"
     key = staticmethod(lambda m: m.generator.spec_key())
-    w2 = staticmethod(lambda m1, m2: w2_ls(m1, m2))
-    ot_map = staticmethod(lambda m1, m2: ot_map_ls(m1, m2))
+
+    @staticmethod
+    def pair_map(m1, m2) -> AffinePSDMap:
+        """The symmetric affine map; :func:`w2_ls` says when it is optimal."""
+        return AffinePSDMap._built(LsCrossTerms(m1, [m2]).map_matrix, m1.location, m2.location)
 
     def __init__(self, mu: LocationScatterModel, models: Sequence, weights=None):
         super().__init__(mu, models, weights)
@@ -653,8 +608,20 @@ class SphericalRow(FamilyRow):
 
     model_type, shared = SphericalModel, "generator"
     key = staticmethod(lambda m: m.generator.spec_key())
-    w2 = staticmethod(lambda m1, m2: w2_spherical(m1, m2))
-    ot_map = staticmethod(lambda m1, m2: ot_map_spherical(m1, m2))
+
+    @staticmethod
+    def pair_map(m1, m2) -> RadialMap:
+        """Radial map with profile alpha2 o alpha1^{-1}. Flat segments of
+        alpha1 are merged (1e-12 tolerance) before inversion; a profile
+        flat over the whole support is rejected."""
+        a1, a2 = m1.alpha, m2.alpha
+        radii = np.unique(np.concatenate([a1.radii, a2.radii]))
+        v1 = a1(radii)
+        v2 = a2(radii)
+        keep = np.concatenate([[True], np.diff(v1) > 1e-12])
+        if keep.sum() < 2:
+            raise ValueError("source profile is not invertible on the support")
+        return RadialMap(RadialProfile(v1[keep], v2[keep]))
 
     def w2_sq(self) -> np.ndarray:
         """Per-model squared L2 gap between profiles under the generator's
@@ -694,8 +661,12 @@ class CopulaRow(FamilyRow):
 
     model_type, shared = CopulaModel, "copula and dimension"
     key = staticmethod(lambda m: (m.copula.identifier(), m.dimension))
-    w2 = staticmethod(lambda m1, m2: wp_copula(m1, m2, 2.0))
-    ot_map = staticmethod(lambda m1, m2: ot_map_copula(m1, m2))
+
+    @staticmethod
+    def pair_map(m1, m2) -> CoordinatewiseMap:
+        """Coordinatewise monotone rearrangement of the marginals: under
+        the shared copula the cost splits into the marginal costs."""
+        return CoordinatewiseMap(tuple(map(MonotoneRearrangementMap, m1.marginals, m2.marginals)))
 
     def _marginal_rows(self):
         for j, mu_j in enumerate(self.mu.marginals):
@@ -703,10 +674,10 @@ class CopulaRow(FamilyRow):
 
     def w2_sq(self) -> np.ndarray:
         """Per-model sum of the marginals' ``W_2^2``, every marginal's
-        pairs in one :func:`_wp_pow` call."""
+        pairs in one :func:`_w2_sq` call."""
         marginals = self.mu.marginals
         pairs = [(mu_j, m.marginals[j]) for m in self.models for j, mu_j in enumerate(marginals)]
-        per_pair = _wp_pow(pairs).reshape(len(self.models), len(marginals))
+        per_pair = _w2_sq(pairs).reshape(len(self.models), len(marginals))
         return np.array([math.fsum(row) for row in per_pair])
 
     def step(self, gamma):
@@ -738,16 +709,17 @@ def family(*models) -> type:
 
 
 def w2(m1, m2) -> float:
-    """2-Wasserstein distance between models of one family, or between two
-    point clouds by the exact discrete solver."""
+    """2-Wasserstein distance between models of one family, the one-pair
+    case of its row's ``w2_sq``, or between two point clouds by the exact
+    discrete solver."""
     if isinstance(m1, DiscreteMeasure) and isinstance(m2, DiscreteMeasure):
         return discrete_ot(m1, m2, 2.0)[1]
-    return family(m1, m2).w2(m1, m2)
+    return math.sqrt(family(m1, m2)(m1, [m2]).w2_sq()[0])
 
 
 def ot_map(m1, m2) -> TransportMap:
-    """Optimal map between models of one family."""
-    return family(m1, m2).ot_map(m1, m2)
+    """Optimal map between models of one family: its row's ``pair_map``."""
+    return family(m1, m2).pair_map(m1, m2)
 
 
 def averaged_map(mu, models: Sequence, weights=None) -> TransportMap:

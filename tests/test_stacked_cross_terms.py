@@ -2,7 +2,7 @@
 evaluation per iterate, checked against the per-model formulas it
 replaced, the invariances of the barycenter and the per-matrix checks;
 one family row per gradient-variance estimate, checked against the
-per-repetition loop it replaced."""
+per-repetition loop it replaced; one family check per public call."""
 
 import math
 import warnings
@@ -28,14 +28,15 @@ from otbayes import (
     Normal,
     make_ls_model,
     ot_map,
-    ot_map_ls,
     RadialProfile,
     SphericalModel,
     variance_of_gradient_estimator,
+    w2,
     w2_ls,
 )
 from otbayes.barycenter import _grad_norm_sq, risk
 from otbayes.linalg import EIG_FLOOR, sqrtm_psd
+import otbayes.transport
 from otbayes.transport import LsCrossTerms, averaged_map, family
 
 TIGHT = StopRule(rel_tol=1e-13, max_iter=500)
@@ -151,7 +152,7 @@ class TestStackedMatchesPerModel:
             _ref_grad_norm_sq(mu, models, weights), rel=1e-12, abs=1e-12)
         assert fixed_point_residual(mu, dist) == pytest.approx(
             _ref_residual(mu, models, weights), rel=1e-12, abs=1e-12)
-        lin = ot_map_ls(mu, models[0]).matrix
+        lin = ot_map(mu, models[0]).matrix
         assert _rel(lin, _ref_map_matrix(mu.scatter_sq, models[0].scatter_sq)) <= 1e-12
 
     def test_batch_of_one_takes_the_stacked_path(self):
@@ -236,7 +237,7 @@ class TestAveragedMap:
         weights = rng.dirichlet(np.ones(7))
         mu = make_ls_model(gen, rng.normal(size=4), _random_scatter(rng, 4))
         x = rng.normal(size=(50, 4))
-        want = sum(w * ot_map_ls(mu, m)(x) for w, m in zip(weights, models))
+        want = sum(w * ot_map(mu, m)(x) for w, m in zip(weights, models))
         assert _rel(averaged_map(mu, models, weights)(x), want) <= 1e-12
 
     def test_distances_from_the_truth_side_equal_per_model_ones(self):
@@ -340,6 +341,34 @@ class TestOneRowPerVarianceEstimate:
         for index in ([3], [0, 4], [2, 0, 2, 4, 2]):
             want = averaged_map(mu, [models[i] for i in index])(x)
             assert np.array_equal(row.batch_map(np.array(index))(x), want)
+
+
+class TestOneCheckPerCall:
+    """The public entry points check their models' family once; the rows
+    and their pair maps check nothing."""
+
+    @pytest.mark.parametrize("case", range(4), ids=["ls", "univariate", "copula", "spherical"])
+    def test_each_entry_point_calls_family_once(self, monkeypatch, case):
+        mu, models, _ = _row_clouds()[case]
+        real, calls = otbayes.transport.family, []
+
+        def counted(*checked):
+            calls.append(len(checked))
+            return real(*checked)
+
+        monkeypatch.setattr(otbayes.transport, "family", counted)
+        entry_points = {
+            "w2": lambda: w2(mu, models[0]),
+            "ot_map": lambda: ot_map(mu, models[0]),
+            "averaged_map": lambda: averaged_map(mu, models),
+            "risk": lambda: risk(mu, models),
+        }
+        counts = {}
+        for name, call in entry_points.items():
+            calls.clear()
+            call()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(entry_points, 1)
 
 
 # ---------------------------------------------------------------------------

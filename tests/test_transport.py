@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -39,15 +39,11 @@ from otbayes import (
     StudentT,
     discrete_ot,
     make_ls_model,
-    ot_map_copula,
-    ot_map_ls,
-    ot_map_spherical,
-    ot_map_univariate,
+    ot_map,
     sample,
     variance_of_gradient_estimator,
     w2,
     w2_ls,
-    wp_copula,
     wp_univariate,
 )
 from otbayes.linalg import check_symmetric
@@ -59,7 +55,6 @@ from otbayes.transport import (
     SphericalRow,
     UnivariateRow,
     averaged_map,
-    w2_spherical,
 )
 
 
@@ -84,25 +79,25 @@ def plan_cost_1d(plan, xs, ys, p):
 class TestUnivariateMaps:
     def test_identity_when_src_equals_dst(self):
         m = Normal(0.7, 1.3)
-        t = ot_map_univariate(m, m)
+        t = ot_map(m, m)
         x = np.linspace(-3, 4, 41)
         assert np.max(np.abs(t(x) - x)) < 1e-8
 
     def test_gaussian_map_is_affine(self):
         # Q_dst(F_src(x)) = mu + sigma x, composed analytically
-        t = ot_map_univariate(Normal(0, 1), Normal(2.0, 3.0))
+        t = ot_map(Normal(0, 1), Normal(2.0, 3.0))
         x = np.linspace(-4, 4, 33)
         assert np.allclose(t(x), 2.0 + 3.0 * x, atol=1e-8)
 
     def test_exponential_rate_halving_doubles(self):
-        t = ot_map_univariate(Exponential(1.0), Exponential(0.5))
+        t = ot_map(Exponential(1.0), Exponential(0.5))
         x = np.linspace(0.01, 8.0, 40)
         assert np.allclose(t(x), 2.0 * x, atol=1e-9)
 
     def test_pushforward_two_sample_check(self):
         rng = np.random.default_rng(42)
         src, dst = Laplace(0, 1), Normal(1, 2)
-        t = ot_map_univariate(src, dst)
+        t = ot_map(src, dst)
         pushed = t(src.sample(4000, rng))
         direct = dst.sample(4000, rng)
         stat = stats.ks_2samp(pushed, direct).statistic
@@ -111,7 +106,7 @@ class TestUnivariateMaps:
     def test_composition_closure(self):
         # two rearrangements composed equal the direct one
         a, b, c = Normal(0, 1), Laplace(1, 2), Exponential(0.7)
-        t_ab, t_bc, t_ac = ot_map_univariate(a, b), ot_map_univariate(b, c), ot_map_univariate(a, c)
+        t_ab, t_bc, t_ac = ot_map(a, b), ot_map(b, c), ot_map(a, c)
         x = a.quantile(np.linspace(0.02, 0.98, 97))
         assert np.max(np.abs(t_bc(t_ab(x)) - t_ac(x))) < 1e-6
 
@@ -132,16 +127,28 @@ class TestUnivariateDistance:
 
     def test_exponential_pair_analytic(self):
         # |Q2 - Q1| = |ln(1-u)|, so W2^2 = Gamma(3) = 2
-        assert wp_univariate(Exponential(1.0), Exponential(0.5), 2.0) == pytest.approx(
+        assert wp_univariate(Exponential(1.0), Exponential(0.5)) == pytest.approx(
             math.sqrt(2.0), abs=1e-8)
 
     def test_symmetry(self):
         a, b = Laplace(0, 1), Normal(1, 2)
         assert wp_univariate(a, b) == pytest.approx(wp_univariate(b, a), abs=1e-10)
 
-    def test_order_one(self):
-        # W1 between translated normals is the translation distance
-        assert wp_univariate(Normal(0, 1), Normal(3, 1), 1.0) == pytest.approx(3.0, abs=1e-8)
+    def test_smooth_through_crossing_quantiles(self):
+        # the quantile functions cross once in each pair, where |Q1 - Q2|
+        # has a kink; (Q1 - Q2)^2 is smooth there
+        assert wp_univariate(Normal(0, 1), Normal(1, 2)) == pytest.approx(math.sqrt(2.0),
+                                                                          rel=0.0, abs=1e-12)
+        m1, m2 = Normal(0.0, 1.0), Logistic(-1.0, 0.5)
+
+        def gap(u):
+            return stats.norm.ppf(u) - stats.logistic.ppf(u, -1.0, 0.5)
+
+        crossing = optimize.brentq(gap, 0.5, 1.0 - 1e-9, xtol=1e-16)
+        want = math.fsum(integrate.quad(lambda u: gap(u) ** 2, a, b, limit=200,
+                                        epsabs=1e-14, epsrel=1e-12)[0]
+                         for a, b in [(0.0, crossing), (crossing, 1.0)])
+        assert wp_univariate(m1, m2) == pytest.approx(math.sqrt(want), rel=1e-11)
 
     def test_heavy_tail_pair_converges(self):
         val = wp_univariate(StudentT(3.0, 0.0, 1.0), StudentT(3.0, 1.0, 2.0))
@@ -187,7 +194,7 @@ class TestUnivariateDistance:
     def test_monotone_map_cost_equals_distance(self):
         # transporting src by the monotone map realizes the distance
         src, dst = Normal(0, 1), Laplace(2, 1)
-        t = ot_map_univariate(src, dst)
+        t = ot_map(src, dst)
         val, _ = integrate.quad(lambda x: (t(x) - x) ** 2 * src.pdf(x), -9, 9, limit=200)
         assert math.sqrt(val) == pytest.approx(wp_univariate(src, dst), abs=1e-6)
 
@@ -238,7 +245,10 @@ class TestStackedRows:
         calls = _counted_tanhsinh(monkeypatch)
         got = CopulaRow(mu, models).w2_sq()
         assert len(calls) == 1
-        want = np.array([wp_copula(mu, m) ** 2 for m in models])
+        # marginal by marginal, one quadrature each
+        want = np.array([math.fsum(wp_univariate(a, b) ** 2
+                                   for a, b in zip(mu.marginals, m.marginals))
+                         for m in models])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_spherical_row_equals_the_pair_function(self):
@@ -249,7 +259,7 @@ class TestStackedRows:
                                                    + rng.uniform(0.0, 0.2) * radii**2))
                  for _ in range(6)]
         got = SphericalRow(cloud[0], cloud).w2_sq()
-        want = np.array([w2_spherical(cloud[0], m) ** 2 for m in cloud])
+        want = np.array([w2(cloud[0], m) ** 2 for m in cloud])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert got[0] == 0.0
 
@@ -368,7 +378,7 @@ class TestLsMaps:
         m1 = make_ls_model(self.gen2, [0.0, 0.0], np.eye(2))
         sigma2 = np.array([[2.0, 0.5], [0.5, 1.0]])
         m2 = make_ls_model(self.gen2, [1.0, -1.0], sigma2)
-        t = ot_map_ls(m1, m2)
+        t = ot_map(m1, m2)
         assert np.allclose(t.matrix, m2.scatter, atol=1e-10)
         x = np.array([[0.3, 0.7]])
         assert np.allclose(t(x), x @ m2.scatter + m2.location, atol=1e-10)
@@ -376,7 +386,7 @@ class TestLsMaps:
     def test_commuting_diagonal(self):
         m1 = make_ls_model(self.gen2, [0.0, 0.0], np.diag([1.0, 4.0]))
         m2 = make_ls_model(self.gen2, [0.0, 0.0], np.diag([4.0, 1.0]))
-        t = ot_map_ls(m1, m2)
+        t = ot_map(m1, m2)
         assert np.allclose(t.matrix, np.diag([2.0, 0.5]), atol=1e-12)
 
     def test_random_pd_pair_pushforward_property(self):
@@ -387,7 +397,7 @@ class TestLsMaps:
             s2 = f2 @ f2.T + 0.5 * np.eye(3)
             m1 = make_ls_model(self.gen3, np.zeros(3), s1)
             m2 = make_ls_model(self.gen3, np.zeros(3), s2)
-            a = ot_map_ls(m1, m2).matrix
+            a = ot_map(m1, m2).matrix
             assert np.max(np.abs(a @ s1 @ a - s2)) < 1e-8
             assert np.allclose(a, a.T, atol=1e-10)
             assert np.linalg.eigvalsh(a)[0] > 0.0
@@ -398,7 +408,7 @@ class TestLsMaps:
         m1 = make_ls_model(other, [0.0, 0.0], np.eye(2))
         m2 = make_ls_model(gen_mixed, [0.0, 0.0], np.eye(2))
         with pytest.raises(CompatibilityError):
-            ot_map_ls(m1, m2)
+            ot_map(m1, m2)
 
     def test_w2_zero_and_translation(self):
         m1 = make_ls_model(self.gen2, [0.0, 0.0], np.eye(2))
@@ -440,7 +450,7 @@ class TestLsMaps:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             variance_of_gradient_estimator(models[0], ModelDistribution(support=models), 2, 20, rng)
-        maps = [ot_map_ls(models[0], models[1]),
+        maps = [ot_map(models[0], models[1]),
                 averaged_map(models[0], models),
                 LsCrossTerms(models[0], models).batch_map([1, 2, 2])]
         assert names == []
@@ -454,7 +464,7 @@ class TestCopulaMaps:
     def test_identity_for_identical_marginals(self):
         cop = IndependenceCopula()
         m = CopulaModel(cop, [Normal(0, 1), Laplace(0, 1)])
-        t = ot_map_copula(m, m)
+        t = ot_map(m, m)
         x = np.array([[0.2, -0.4], [1.0, 2.0]])
         assert np.max(np.abs(t(x) - x)) < 1e-8
 
@@ -462,25 +472,25 @@ class TestCopulaMaps:
         cop = IndependenceCopula()
         m1 = CopulaModel(cop, [Normal(0, 1), Normal(0, 1)])
         m2 = CopulaModel(cop, [Normal(1, 1), Normal(1, 1)])
-        t = ot_map_copula(m1, m2)
+        t = ot_map(m1, m2)
         x = np.array([[0.0, 0.0], [0.5, -0.5]])
         assert np.allclose(t(x), x + 1.0, atol=1e-9)
-        assert wp_copula(m1, m2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert w2(m1, m2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_gaussian_copula_same_marginal_cost(self):
         rho = GaussianCopula([[1.0, 0.5], [0.5, 1.0]])
         m1 = CopulaModel(rho, [Normal(0, 1), Normal(0, 1)])
         m2 = CopulaModel(rho, [Normal(1, 1), Normal(1, 1)])
-        t = ot_map_copula(m1, m2)
+        t = ot_map(m1, m2)
         x = np.array([[0.1, 0.9]])
         assert np.allclose(t(x), x + 1.0, atol=1e-9)
-        assert wp_copula(m1, m2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert w2(m1, m2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_copula_mismatch(self):
         m1 = CopulaModel(IndependenceCopula(), [Normal(0, 1)])
         m2 = CopulaModel(GaussianCopula([[1.0]]), [Normal(0, 1)])
         with pytest.raises(CompatibilityError):
-            ot_map_copula(m1, m2)
+            ot_map(m1, m2)
 
     def test_dimension_and_type_mismatch(self):
         # a zip over the marginals would drop the extra one and read 0.0
@@ -488,7 +498,7 @@ class TestCopulaMaps:
         m2 = CopulaModel(cop, [Normal(0, 1), Normal(0, 1)])
         m3 = CopulaModel(cop, [Normal(0, 1), Normal(0, 1), Normal(0, 1)])
         for a, b in ((m2, m3), (m3, m2)):
-            for fn in (wp_copula, w2, ot_map_copula):
+            for fn in (w2, ot_map):
                 with pytest.raises(CompatibilityError):
                     fn(a, b)
         mix = MixtureModel([m2, m2], [0.5, 0.5])
@@ -500,7 +510,7 @@ class TestCopulaMaps:
         cop = IndependenceCopula()
         m1 = CopulaModel(cop, [Normal(0, 1), Laplace(0, 1)])
         m2 = CopulaModel(cop, [Normal(1.5, 1), Laplace(-0.5, 2)])
-        closed = wp_copula(m1, m2)
+        closed = w2(m1, m2)
         est = discrete_ot(sample(m1, 1500, rng), sample(m2, 1500, rng),
                           assignment_cap=1500)[1]
         assert abs(est - closed) / closed < 0.08
@@ -513,14 +523,14 @@ class TestSphericalMaps:
     def test_equal_profiles_identity(self):
         alpha = RadialProfile([0.0, 1.0, 5.0], [0.0, 1.0, 5.0])
         m = SphericalModel(self.gen, alpha)
-        t = ot_map_spherical(m, m)
+        t = ot_map(m, m)
         x = np.array([[1.0, 1.0], [0.3, -2.0]])
         assert np.max(np.abs(t(x) - x)) < 1e-10
 
     def test_linear_scaling(self):
         a1 = RadialProfile([0.0, 5.0], [0.0, 5.0])
         a2 = RadialProfile([0.0, 5.0], [0.0, 10.0])
-        t = ot_map_spherical(SphericalModel(self.gen, a1), SphericalModel(self.gen, a2))
+        t = ot_map(SphericalModel(self.gen, a1), SphericalModel(self.gen, a2))
         x = np.array([[1.0, -1.0], [0.0, 2.0]])
         assert np.allclose(t(x), 2.0 * x, atol=1e-10)
 
@@ -528,7 +538,7 @@ class TestSphericalMaps:
         r = np.linspace(0.0, 3.0, 400)
         a1 = RadialProfile(r, r**2)  # alpha1(r) = r^2
         a2 = RadialProfile(r, r)     # alpha2(r) = r
-        t = ot_map_spherical(SphericalModel(self.gen, a1), SphericalModel(self.gen, a2))
+        t = ot_map(SphericalModel(self.gen, a1), SphericalModel(self.gen, a2))
         # composed profile should be sqrt on the interior
         s = np.linspace(0.2, 8.0, 50)
         x = np.column_stack([s, np.zeros_like(s)])
@@ -539,7 +549,7 @@ class TestSphericalMaps:
         flat = RadialProfile([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
         grow = RadialProfile([0.0, 2.0], [0.0, 2.0])
         with pytest.raises(ValueError):
-            ot_map_spherical(SphericalModel(self.gen, flat), SphericalModel(self.gen, grow))
+            ot_map(SphericalModel(self.gen, flat), SphericalModel(self.gen, grow))
 
 
 class TestDiscreteOt:
@@ -692,13 +702,13 @@ class TestDiscreteOt:
 
 class TestConvexCombinationMap:
     def test_weights_validated(self):
-        t = ot_map_univariate(Normal(0, 1), Normal(2, 1))
+        t = ot_map(Normal(0, 1), Normal(2, 1))
         with pytest.raises(ValueError):
             ConvexCombinationMap([0.6, 0.6], [t, t])
 
     def test_combination_applies_pointwise(self):
-        t1 = ot_map_univariate(Normal(0, 1), Normal(2, 1))  # x + 2
-        t2 = ot_map_univariate(Normal(0, 1), Normal(0, 3))  # 3x
+        t1 = ot_map(Normal(0, 1), Normal(2, 1))  # x + 2
+        t2 = ot_map(Normal(0, 1), Normal(0, 3))  # 3x
         comb = ConvexCombinationMap([0.5, 0.5], [t1, t2])
         x = np.linspace(-2, 2, 21)
         assert np.allclose(comb(x), 0.5 * (x + 2) + 0.5 * (3 * x), atol=1e-8)
