@@ -33,7 +33,6 @@ from .measures import (
     SphericalModel,
     StudentT,
     UnivariateModel,
-    default_levels,
     experiment_covariance,
     make_ls_model,
     mix_quantiles,

@@ -7,16 +7,19 @@ the closed parameter-space updates of the supported families: averaged
 quantiles on the line and for shared copulas, averaged radial profiles,
 and the scatter fixed-point recursion for affine families.
 
-Each family-specific quantity is read from the iterate's row of the
-family table in :mod:`transport` (``transport.family``), built once per
-iterate against the weighted support. A finite ``ModelDistribution``
-keeps the row of the last iterate it was asked for:
-``empirical_barycenter`` shares that row between the iterate's risk and
-gradient norm and the step to the next iterate, and the
-``fixed_point_residual`` of the barycenter it returns reuses the
-descent's last row. For scatter-location models a row holds the cross
-terms (A0 S_m A0)^{1/2} of one stacked eigendecomposition; for the
-univariate and copula families its distances take one quadrature call.
+Each per-iterate quantity is read from the iterate's row of the family
+table in :mod:`transport` (``transport.family``). :func:`risk`,
+:func:`_grad_norm_sq`, :func:`gk_step` and :func:`fixed_point_residual`
+all take ``(mu, dist)`` and read ``dist.row(mu)``; a finite
+``ModelDistribution`` keeps the row of the last iterate it was asked for,
+so ``empirical_barycenter`` builds one row per iterate for its risk,
+gradient norm and step, and the ``fixed_point_residual`` of the
+barycenter it returns reuses the descent's last row. For
+scatter-location models a row holds the cross terms (A0 S_m A0)^{1/2}
+of one stacked eigendecomposition; for the other families it takes the
+distances to the models and to the iterate's image under the averaged
+map (the next iterate, whose distance is the gradient norm) in one
+evaluation.
 """
 
 from __future__ import annotations
@@ -81,14 +84,21 @@ class ModelDistribution:
     def is_finite(self) -> bool:
         return self.support is not None
 
+    def finite_support(self) -> tuple:
+        """The support; a sampler has none, and raises ``ValueError``."""
+        if not self.is_finite:
+            raise ValueError("a family row requires a finitely supported distribution")
+        return self.support
+
     def row(self, mu):
-        """The family row of ``mu`` against the finite support (see
+        """The family row of ``mu`` against the :meth:`finite_support` (see
         :func:`transport.family`): the kept one when it was built at this
         very ``mu``, else a new one, which is then kept."""
+        support = self.finite_support()
         row = self._row
         if row is None or row.mu is not mu:
             # the support was checked against itself when it was given
-            row = transport.family(mu, self.support[0])(mu, self.support, self.weights)
+            row = transport.family(mu, support[0])(mu, support, self.weights)
             self._row = row
         return row
 
@@ -193,28 +203,17 @@ class StopRule:
 # ---------------------------------------------------------------------------
 
 
-def _row(mu, models, weights, cross):
-    """The family row of ``mu`` against ``models``: ``cross`` when given,
-    else a new one, after checking every model against ``mu``."""
-    if cross is None:
-        return transport.family(mu, *models)(mu, models, weights)
-    if cross.mu is not mu or cross.weights.shape != (len(models),):
-        raise ValueError("cross terms were computed for another iterate or support")
-    return cross
-
-
 def gk_step(mu, dist: ModelDistribution, gamma: float):
     """One deterministic descent step: push mu through the lambda-averaged
     optimal map, damped by gamma. gamma = 1 is the plain fixed-point
     iteration (and the optimal choice); gamma = 0 is a no-op. The step
-    reads ``dist.row(mu)``."""
-    if not dist.is_finite:
-        raise ValueError("gk_step requires a finitely supported distribution")
+    reads ``dist.row(mu)``; a unit step is the row's ``image``."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    return dist.row(mu).step(gamma)
+    row = dist.row(mu)
+    return row.image if gamma == 1.0 else row.step(gamma)
 
 
 def batch_sgd_step(mu, batch: Sequence, gamma: float):
@@ -225,7 +224,7 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return mu
-    return _row(mu, batch, None, None).step(gamma)
+    return transport.family(mu, *batch)(mu, batch).step(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +232,17 @@ def batch_sgd_step(mu, batch: Sequence, gamma: float):
 # ---------------------------------------------------------------------------
 
 
-def risk(mu, models, weights=None, *, cross=None) -> float:
-    """Half the weighted average squared distance from mu to the models.
-
-    ``cross`` passes on the iterate's family row against the models (see
-    :func:`transport.family`) when the caller already holds it."""
-    row = _row(mu, models, weights, cross)
+def risk(mu, dist: ModelDistribution) -> float:
+    """Half the weighted average squared W2 distance from mu to the
+    finitely supported ``dist``; reads ``dist.row(mu)``."""
+    row = dist.row(mu)
     return 0.5 * math.fsum(row.weights * row.w2_sq())
 
 
-def _grad_norm_sq(mu, models, weights=None, *, cross=None) -> float:
-    """Squared norm of the averaged displacement, in the family parameters."""
-    return _row(mu, models, weights, cross).grad_norm_sq()
+def _grad_norm_sq(mu, dist: ModelDistribution) -> float:
+    """Squared L2(mu) norm of the averaged displacement toward ``dist``
+    (for scatter-location models in closed form); reads ``dist.row(mu)``."""
+    return dist.row(mu).grad_norm_sq()
 
 
 def fixed_point_residual(mu_hat, dist: ModelDistribution) -> float:
@@ -253,13 +251,15 @@ def fixed_point_residual(mu_hat, dist: ModelDistribution) -> float:
     Zero exactly at a barycenter of the finitely supported ``dist``. For
     scatter-location models this is the Frobenius gap ``|avg A - I|_F`` of
     the averaged linear parts; for the other families it is the
-    L2(mu_hat) norm of the averaged displacement. To check a population
+    L2(mu_hat) norm of the averaged displacement, the W2 distance from
+    mu_hat to its image under the averaged map. That image is the row's
+    unit step, so the residual certifies a fixed point of the step, not
+    that the step averages the right maps. To check a population
     barycenter, pass a finite sample of the population. It reads
     ``dist.row(mu_hat)``, so right after :func:`empirical_barycenter` it
-    builds no row.
+    builds no row and, outside the scatter-location family, takes no
+    distance.
     """
-    if not dist.is_finite:
-        raise ValueError("fixed_point_residual requires a finitely supported distribution")
     return dist.row(mu_hat).residual()
 
 
@@ -279,23 +279,16 @@ def empirical_barycenter(dist: ModelDistribution, stop: StopRule = StopRule()):
     Returns ``(model, trace)``; a run that hits ``stop.max_iter`` is
     returned with ``trace.converged = False``.
     """
-    if not dist.is_finite:
-        raise ValueError("empirical_barycenter requires finite support")
-    support, weights = dist.support, dist.weights
     trace = DescentTrace()
     t0 = time.perf_counter()
-    mu = support[0]
-    row = dist.row(mu)
-    f_prev = risk(mu, support, weights, cross=row)
-    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, support, weights, cross=row),
-                 1e3 * (time.perf_counter() - t0))
+    mu = dist.finite_support()[0]
+    f_prev = risk(mu, dist)
+    trace.record(0, 0.0, f_prev, _grad_norm_sq(mu, dist), 1e3 * (time.perf_counter() - t0))
     converged = False
     for it in range(1, stop.max_iter + 1):
         mu = gk_step(mu, dist, 1.0)
-        row = dist.row(mu)
-        f_cur = risk(mu, support, weights, cross=row)
-        trace.record(it, 1.0, f_cur, _grad_norm_sq(mu, support, weights, cross=row),
-                     1e3 * (time.perf_counter() - t0))
+        f_cur = risk(mu, dist)
+        trace.record(it, 1.0, f_cur, _grad_norm_sq(mu, dist), 1e3 * (time.perf_counter() - t0))
         if f_prev <= 1e-300:
             converged = True
             break
@@ -335,16 +328,16 @@ def population_barycenter(
     gradient norms along the trace are Monte Carlo estimates against a
     pool of ``EVAL_POOL_SIZE`` models frozen up front (comparable across
     iterations), recorded every ``trace_every`` steps and at the last;
-    ``trace_every=0`` draws no pool and records NaN for both. Each traced
-    step builds one family row over the pool's distinct members, weighted
-    by their multiplicities.
+    ``trace_every=0`` draws no pool and records NaN for both. The pool
+    is a finite distribution over its distinct draws, weighted by their
+    multiplicities, so each traced step builds one family row over it.
     """
     schedule.validate()
     if iterations < 1 or batch_size < 1:
         raise ValueError("iterations and batch_size must be >= 1")
-    drawn = [dist.draw(rng) for _ in range(EVAL_POOL_SIZE)] if trace_every else []
-    pool, index = _distinct(drawn)
-    pool_weights = np.bincount(index) / EVAL_POOL_SIZE
+    if trace_every:
+        drawn, index = _distinct([dist.draw(rng) for _ in range(EVAL_POOL_SIZE)])
+        pool = ModelDistribution(drawn, np.bincount(index) / EVAL_POOL_SIZE)
     trace = DescentTrace()
     mu = mu0
     t0 = time.perf_counter()
@@ -353,9 +346,7 @@ def population_barycenter(
         batch = [dist.draw(rng) for _ in range(batch_size)]
         mu = batch_sgd_step(mu, batch, gamma)
         if trace_every and (t % trace_every == 0 or t == iterations):
-            cross = _row(mu, pool, pool_weights, None)
-            trace.record(t, gamma, risk(mu, pool, cross=cross),
-                         _grad_norm_sq(mu, pool, cross=cross),
+            trace.record(t, gamma, risk(mu, pool), _grad_norm_sq(mu, pool),
                          1e3 * (time.perf_counter() - t0))
         elif not trace_every:
             trace.record(t, gamma, None, None, 1e3 * (time.perf_counter() - t0))
@@ -395,7 +386,7 @@ def variance_of_gradient_estimator(
     else:
         drawn = [dist.sampler(rng) for _ in range(reps * batch_size)]
     models, index = _distinct(drawn)
-    row = _row(mu, models, None, None)
+    row = transport.family(mu, *models)(mu, models)
     disp = np.empty((reps, x2d.shape[0], x2d.shape[1]))
     for r, batch in enumerate(index.reshape(reps, batch_size)):
         tx = np.asarray(row.batch_map(batch)(x), dtype=float)

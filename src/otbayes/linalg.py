@@ -40,6 +40,13 @@ def symmetric_within(mat: np.ndarray, asym: np.ndarray, tol: float = SYM_TOL) ->
     return ok.reshape(stack)
 
 
+def negative_beyond_rounding(low, high) -> np.ndarray:
+    """Whether a smallest eigenvalue ``low`` is below ``-SYM_TOL * scale``,
+    ``scale`` the largest magnitude ``|high|``, at least 1: negative by
+    more than rounding at the matrix's scale."""
+    return low < -SYM_TOL * np.maximum(np.abs(high), 1.0)
+
+
 def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
     """``mat`` symmetrised, ``(A + A^T) / 2``, after checking each matrix
     is symmetric within ``tol`` relative (see :func:`symmetric_within`)."""
@@ -73,7 +80,7 @@ def _checked_spectrum(mat: np.ndarray, name: str, definite: bool = False):
     low = vals[..., 0]
     bad = low <= 0.0
     if bad.any() and not definite:
-        bad &= low < -SYM_TOL * np.maximum(np.abs(vals[..., -1]), 1.0)
+        bad &= negative_beyond_rounding(low, vals[..., -1])
     if bad.any():
         what = "positive definite" if definite else "positive semidefinite"
         raise MatrixNotPDError(f"{name}{_stack_note(bad)} is not {what}",

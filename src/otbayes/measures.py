@@ -28,19 +28,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
 _U_HI = float(np.nextafter(1.0, 0.0))
 
-# Default quantile-level grid: Chebyshev-spaced in (0,1), clipped away from
-# the endpoints so heavy-tailed quantiles stay finite.
-GRID_SIZE = 2048
-TAIL_CLIP = 1e-5
-
-
-def default_levels(n: int = GRID_SIZE, clip: float = TAIL_CLIP) -> np.ndarray:
-    """Chebyshev-node probability levels on [clip, 1-clip]."""
-    i = np.arange(n)
-    cheb = 0.5 * (1.0 - np.cos(np.pi * (2 * i + 1) / (2 * n)))
-    return clip + (1.0 - 2.0 * clip) * cheb
-
-
 def _check_prob(u, name: str = "u"):
     if isinstance(u, float):
         # scalar callers (the root search in QuantileMixModel.cdf) skip the array path
@@ -707,25 +694,11 @@ class Generator:
     def spec_key(self):
         return self._key
 
-    def _family_log_pdfs(self, x: np.ndarray):
-        """``(log_f, log_scale)`` for each family of the coordinates of
-        (n, q) points: ``log_f`` is (n, c) and ``log_scale`` is still to be
-        subtracted once per point."""
-        for shape, cols, loc, scale, log_scale in self._families:
-            # columns gathered column-major: each coordinate contiguous
-            z = np.asfortranarray(x[:, cols])
-            if loc is not None:
-                z = (z - loc) / scale
-            yield shape._logpdf0(z), log_scale
-        for j in self._others:
-            yield self.coordinates[j].log_pdf(x[:, j:j + 1]), 0.0
-
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0])
-        for log_f, log_scale in self._family_log_pdfs(x):
-            out += np.sum(log_f, axis=1) - log_scale
-        return out
+        """Log-density of each of the (n, q) points x, each scored as a
+        one-point state of :meth:`total_log_density`; (n,)."""
+        x = np.atleast_2d(np.array(x, dtype=float))
+        return self._total_log_density_in_place(x[:, :, None])
 
     def total_log_density(self, x: np.ndarray) -> np.ndarray:
         """Log-density summed over each state's points: x is an (m, q, n)

@@ -10,9 +10,11 @@ The family table at the end holds one row per family, and each row holds
 its family's closed forms; :func:`family` is the one place that decides
 a model's family and checks models against each other. A row takes the
 distances from its iterate to all its models in one stacked evaluation:
+one stacked root for scatter-location models; for the other families
 one tanh-sinh call over the tails of every univariate pair (every
-marginal's, for copulas), the radial nodes once for spherical models,
-one stacked root for scatter-location models.
+marginal's, for copulas) or the radial nodes once for spherical models,
+which also covers the iterate's image under the averaged map, whose
+distance is the norm of the averaged displacement.
 
 Model distances are W2 only. The public entry points are :func:`w2`,
 :func:`ot_map` and :func:`averaged_map`, which check their models once
@@ -39,7 +41,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial.distance import cdist
 
 from .errors import CompatibilityError, QuadratureError, SizeCapError
-from .linalg import check_symmetric, sqrtm_inv_psd, sqrtm_psd
+from .linalg import check_symmetric, negative_beyond_rounding, sqrtm_inv_psd, sqrtm_psd
 from .measures import (
     CopulaModel,
     DiscreteMeasure,
@@ -47,7 +49,6 @@ from .measures import (
     RadialProfile,
     SphericalModel,
     UnivariateModel,
-    default_levels,
     gauss_legendre,
     mix_quantiles,
 )
@@ -106,13 +107,15 @@ class RadialMap(TransportMap):
 
 
 class AffinePSDMap(TransportMap):
-    """x -> A (x - b1) + b2 with A symmetric PSD within 1e-10."""
+    """x -> A (x - b1) + b2 with A symmetric PSD: no eigenvalue negative
+    beyond rounding at A's scale (:func:`linalg.negative_beyond_rounding`)."""
 
     __slots__ = ("matrix", "b1", "b2")
 
     def __init__(self, matrix, b1, b2):
         matrix = check_symmetric(matrix, name="affine map matrix")
-        if np.linalg.eigvalsh(matrix)[0] < -1e-10:
+        vals = np.linalg.eigvalsh(matrix)
+        if negative_beyond_rounding(vals[0], vals[-1]):
             raise ValueError("affine map matrix must be PSD")
         self.matrix = matrix
         self.b1 = np.asarray(b1, dtype=float)
@@ -292,9 +295,12 @@ def w2_ls(m1: LocationScatterModel, m2: LocationScatterModel) -> float:
     generator is rotation-invariant (Gaussian) or the scatters commute.
     Otherwise it is the Gelbrich lower bound in the scatter parameters
     (Gelbrich 1990, Math. Nachr. 147), and for a generator that is not
-    standardized a parameter-space distance.
+    standardized a parameter-space distance. Models of another family
+    raise :class:`CompatibilityError`.
     """
-    family(m1, m2)
+    if family(m1, m2) is not LsCrossTerms:
+        raise CompatibilityError(f"w2_ls takes scatter-location models, not "
+                                 f"{type(m1).__name__}s")
     return math.sqrt(LsCrossTerms(m1, [m2]).w2_sq()[0])
 
 
@@ -453,13 +459,21 @@ def discrete_ot(
 class FamilyRow:
     """A family's row: its ``model_type``, the ``key`` its models share
     and its optimal map ``pair_map(m1, m2)``. Over an iterate ``mu`` and
-    ``models`` (``weights`` uniform when None) it gives the per-model
-    squared W2 distances, the ``step(gamma)``, the squared norm of the
-    averaged displacement, the fixed-point residual, the averaged map
-    and the uniform average map of any batch of the models. Neither the
-    row nor ``pair_map`` checks its models: :func:`family` does that, in
-    the entry points :func:`w2`, :func:`ot_map` and :func:`averaged_map`
-    and in the barycenter drivers."""
+    ``models`` (``weights`` uniform when None) it gives the ``step(gamma)``
+    and its unit step, the :attr:`image` of ``mu`` under the averaged map;
+    the per-model squared W2 distances, the squared norm of the averaged
+    displacement and the fixed-point residual; the averaged map and the
+    uniform average map of any batch of the models.
+
+    The averaged map is a convex combination of optimal maps out of
+    ``mu``, hence itself optimal from ``mu`` to the image, so the L2(mu)
+    norm of the averaged displacement is ``W2(mu, image)``. A row other
+    than :class:`LsCrossTerms` therefore reads every distance from one
+    call of its ``w2_sq_to(targets)``, the squared W2 from ``mu`` to each
+    target, over its models and the image. Neither the row nor
+    ``pair_map`` checks its models: :func:`family` does that, in the
+    entry points :func:`w2`, :func:`ot_map` and :func:`averaged_map` and
+    in the barycenter drivers."""
 
     model_type: type
     shared = ""  # what the key holds, for the compatibility error
@@ -471,9 +485,28 @@ class FamilyRow:
         self.weights = (np.full(len(models), 1.0 / len(models)) if weights is None
                         else np.asarray(weights, dtype=float))
 
+    @cached_property
+    def image(self):
+        """``step(1.0)``, taken once: the next iterate of the fixed-point
+        descent."""
+        return self.step(1.0)
+
+    @cached_property
+    def _sq(self) -> np.ndarray:
+        """Squared W2 from ``mu`` to each model and, last, to the image."""
+        return self.w2_sq_to([*self.models, self.image])
+
+    def w2_sq(self) -> np.ndarray:
+        """Per-model squared W2 distances from ``mu``."""
+        return self._sq[:-1]
+
+    def grad_norm_sq(self) -> float:
+        """Squared L2(mu) norm of the averaged displacement, ``W2(mu, image)^2``."""
+        return float(self._sq[-1])
+
     def residual(self) -> float:
         """L2(mu) norm of the averaged displacement."""
-        return math.sqrt(max(self.grad_norm_sq(), 0.0))
+        return math.sqrt(self.grad_norm_sq())
 
     @cached_property
     def maps(self) -> list:
@@ -498,21 +531,13 @@ class UnivariateRow(FamilyRow):
     model_type = UnivariateModel
     pair_map = staticmethod(MonotoneRearrangementMap)
 
-    def w2_sq(self) -> np.ndarray:
-        """Per-model ``W_2(mu, m)^2``, all tails in one :func:`_w2_sq` call."""
-        return _w2_sq([(self.mu, m) for m in self.models])
+    def w2_sq_to(self, targets) -> np.ndarray:
+        """Per-target ``W_2(mu, t)^2``, all tails in one :func:`_w2_sq` call."""
+        return _w2_sq([(self.mu, t) for t in targets])
 
     def step(self, gamma):
         coeffs = np.concatenate([[1.0 - gamma], gamma * self.weights])
         return mix_quantiles(coeffs, [self.mu, *self.models])
-
-    def grad_norm_sq(self) -> float:
-        u = default_levels(1024)
-        qbar = np.zeros_like(u)
-        for w, m in zip(self.weights, self.models):
-            qbar += w * m.quantile(u)
-        gap = qbar - self.mu.quantile(u)
-        return float(np.mean(gap * gap))
 
 
 class LsCrossTerms(FamilyRow):
@@ -623,17 +648,17 @@ class SphericalRow(FamilyRow):
             raise ValueError("source profile is not invertible on the support")
         return RadialMap(RadialProfile(v1[keep], v2[keep]))
 
-    def w2_sq(self) -> np.ndarray:
-        """Per-model squared L2 gap between profiles under the generator's
+    def w2_sq_to(self, targets) -> np.ndarray:
+        """Per-target squared L2 gap between profiles under the generator's
         radial law: 512 Gauss-Legendre levels in [1e-6, 1 - 1e-6], whose
-        radii are taken once for all models."""
+        radii are taken once for all targets."""
         nodes, weights = gauss_legendre(512)
         lo, hi = 1e-6, 1.0 - 1e-6
         nodes = lo + (hi - lo) * (0.5 * (nodes + 1.0))
         weights = (hi - lo) * (0.5 * weights)
         r = self.mu.generator.radial_quantile(nodes)
         alpha = self.mu.alpha(r)
-        gaps = [alpha - m.alpha(r) for m in self.models]
+        gaps = [alpha - t.alpha(r) for t in targets]
         return np.array([max(float(np.dot(weights, gap * gap)), 0.0) for gap in gaps])
 
     def step(self, gamma):
@@ -645,15 +670,6 @@ class SphericalRow(FamilyRow):
         for w, m in zip(self.weights, self.models):
             vals = vals + gamma * w * m.alpha(radii)
         return SphericalModel(mu.generator, RadialProfile(radii, vals))
-
-    def grad_norm_sq(self) -> float:
-        u = np.linspace(1e-4, 1.0 - 1e-4, 1024)
-        r = self.mu.generator.radial_quantile(u)
-        abar = np.zeros_like(r)
-        for w, m in zip(self.weights, self.models):
-            abar += w * m.alpha(r)
-        gap = abar - self.mu.alpha(r)
-        return float(np.mean(gap * gap))
 
 
 class CopulaRow(FamilyRow):
@@ -668,23 +684,18 @@ class CopulaRow(FamilyRow):
         the shared copula the cost splits into the marginal costs."""
         return CoordinatewiseMap(tuple(map(MonotoneRearrangementMap, m1.marginals, m2.marginals)))
 
-    def _marginal_rows(self):
-        for j, mu_j in enumerate(self.mu.marginals):
-            yield UnivariateRow(mu_j, [m.marginals[j] for m in self.models], self.weights)
-
-    def w2_sq(self) -> np.ndarray:
-        """Per-model sum of the marginals' ``W_2^2``, every marginal's
+    def w2_sq_to(self, targets) -> np.ndarray:
+        """Per-target sum of the marginals' ``W_2^2``, every marginal's
         pairs in one :func:`_w2_sq` call."""
         marginals = self.mu.marginals
-        pairs = [(mu_j, m.marginals[j]) for m in self.models for j, mu_j in enumerate(marginals)]
-        per_pair = _w2_sq(pairs).reshape(len(self.models), len(marginals))
+        pairs = [(mu_j, t.marginals[j]) for t in targets for j, mu_j in enumerate(marginals)]
+        per_pair = _w2_sq(pairs).reshape(len(targets), len(marginals))
         return np.array([math.fsum(row) for row in per_pair])
 
     def step(self, gamma):
-        return CopulaModel(self.mu.copula, [row.step(gamma) for row in self._marginal_rows()])
-
-    def grad_norm_sq(self) -> float:
-        return sum(row.grad_norm_sq() for row in self._marginal_rows())
+        return CopulaModel(self.mu.copula, [
+            UnivariateRow(mu_j, [m.marginals[j] for m in self.models], self.weights).step(gamma)
+            for j, mu_j in enumerate(self.mu.marginals)])
 
 
 FAMILIES = (UnivariateRow, LsCrossTerms, SphericalRow, CopulaRow)
@@ -710,11 +721,13 @@ def family(*models) -> type:
 
 def w2(m1, m2) -> float:
     """2-Wasserstein distance between models of one family, the one-pair
-    case of its row's ``w2_sq``, or between two point clouds by the exact
-    discrete solver."""
+    case of its row's ``w2_sq_to`` (``w2_sq`` for :class:`LsCrossTerms`),
+    or between two point clouds by the exact discrete solver."""
     if isinstance(m1, DiscreteMeasure) and isinstance(m2, DiscreteMeasure):
         return discrete_ot(m1, m2, 2.0)[1]
-    return math.sqrt(family(m1, m2)(m1, [m2]).w2_sq()[0])
+    row = family(m1, m2)(m1, [m2])
+    sq = row.w2_sq() if isinstance(row, LsCrossTerms) else row.w2_sq_to([m2])
+    return math.sqrt(sq[0])
 
 
 def ot_map(m1, m2) -> TransportMap:

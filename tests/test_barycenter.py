@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _levels import chebyshev_levels
 from otbayes import (
     CompatibilityError,
     CopulaModel,
@@ -224,6 +225,29 @@ class TestFixedPointResidual:
     def test_small_at_closed_form_barycenter(self):
         dist = ModelDistribution(support=[Normal(0, 1), Normal(2, 3)])
         assert fixed_point_residual(Normal(1, 2), dist) < 1e-8
+
+    def test_univariate_is_the_l2_norm_of_the_averaged_displacement(self):
+        # the averaged map sends N(1, 4) to N(1, 2): T(x) - x = (1 - x) / 2
+        dist = ModelDistribution(support=[Normal(0, 1), Normal(2, 3)])
+        assert fixed_point_residual(Normal(1, 4), dist) == pytest.approx(2.0, abs=1e-12)
+
+    def test_copula_with_one_equal_marginal(self):
+        cop = IndependenceCopula()
+        dist = ModelDistribution(support=[CopulaModel(cop, [Normal(0, 1), Laplace(0, 1)]),
+                                          CopulaModel(cop, [Normal(2, 3), Laplace(0, 1)])])
+        mu = CopulaModel(cop, [Normal(1, 4), Laplace(0, 1)])
+        assert fixed_point_residual(mu, dist) == pytest.approx(2.0, abs=1e-12)
+
+    def test_spherical_linear_profiles(self):
+        # alpha_m(r) = c_m r: the displacement is (mean c - c0) x, and E|x|^2 = 3
+        gen = Generator.standard_normal(3)
+        r = np.linspace(0.0, 8.0, 50)
+        cs = [0.7, 1.3, 2.1]
+        dist = ModelDistribution(support=[SphericalModel(gen, RadialProfile(r, c * r))
+                                          for c in cs])
+        mu = SphericalModel(gen, RadialProfile(r, 0.5 * r))
+        want = math.sqrt(3.0) * abs(np.mean(cs) - 0.5)
+        assert fixed_point_residual(mu, dist) == pytest.approx(want, rel=1e-4)
 
     def test_large_for_wrong_scale(self):
         dist = ModelDistribution(support=[Normal(0, 1), Normal(2, 3)])
@@ -497,9 +521,7 @@ class TestTraceExport:
 
 class TestMixedGridSupport:
     def test_grid_member_in_support(self):
-        from otbayes import default_levels
-
-        u = default_levels(256)
+        u = chebyshev_levels(256)
         grid_model = GridUnivariate(GridQuantile(u, Laplace(1.0, 1.0).quantile(u)))
         dist = ModelDistribution(support=[Normal(0, 1), grid_model])
         bary, _ = empirical_barycenter(dist, stop=TIGHT)
@@ -567,8 +589,7 @@ def _same_barycenter(d1, d2):
     a, qa = _bary_curves(d1)
     b, qb = _bary_curves(d2)
     assert np.allclose(qb, qa, rtol=1e-12, atol=1e-12)
-    assert risk(b, d2.support, d2.weights) == pytest.approx(
-        risk(a, d1.support, d1.weights), rel=1e-9, abs=1e-12)
+    assert risk(b, d2) == pytest.approx(risk(a, d1), rel=1e-9, abs=1e-12)
 
 
 class TestFamilyBarycenterInvariance:
@@ -630,7 +651,9 @@ class TestFamilyBarycenterInvariance:
             moved = [CopulaModel(m.copula, [_moved(mj, scale, c)
                                             for mj, c in zip(m.marginals, shift)])
                      for m in models]
-        a, qa = _bary_curves(ModelDistribution(support=models))
-        b, qb = _bary_curves(ModelDistribution(support=moved))
+        d_models, d_moved = ModelDistribution(support=models), ModelDistribution(support=moved)
+        a, qa = _bary_curves(d_models)
+        b, qb = _bary_curves(d_moved)
         assert np.allclose(qb, scale * qa + shift[:, None], rtol=1e-12, atol=1e-11 * scale)
-        assert risk(b, moved) == pytest.approx(scale**2 * risk(a, models), rel=1e-8, abs=1e-12)
+        assert risk(b, d_moved) == pytest.approx(scale**2 * risk(a, d_models), rel=1e-8,
+                                                 abs=1e-12)

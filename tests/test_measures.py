@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from _levels import chebyshev_levels
 import otbayes
 from otbayes import (
     DiscreteMeasure,
@@ -131,9 +132,7 @@ class TestGridQuantile:
 
     def test_grid_model_moments(self):
         # grid built from an exact normal should reproduce its moments
-        from otbayes import default_levels
-
-        u = default_levels()
+        u = chebyshev_levels(2048)
         m = GridUnivariate(GridQuantile(u, Normal(2.0, 3.0).quantile(u)))
         assert m.mean() == pytest.approx(2.0, abs=1e-3)
         assert m.variance() == pytest.approx(9.0, rel=1e-2)
@@ -308,6 +307,28 @@ class TestGeneratorStandardization:
         x = np.array([[0.3, -0.4]])
         expected = stats.norm.logpdf(0.3) + stats.laplace.logpdf(-0.4)
         assert gen.log_density(x)[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_log_density_equals_the_scipy_logpdf_sum(self):
+        # non-standard members, two normal columns apart and a grid column
+        # (scored on its own), whose density is du/dQ on each knot segment
+        levels = np.linspace(0.01, 0.99, 21)
+        knots = stats.norm.ppf(levels)
+        coords = [Normal(0.3, 2.0), Laplace(-1.0, 0.5), StudentT(3.0, 0.2, 1.5), Normal(),
+                  GridUnivariate(GridQuantile(levels, knots)), Logistic(0.1, 1.3)]
+        scipy_coords = [stats.norm(0.3, 2.0), stats.laplace(-1.0, 0.5), stats.t(3.0, 0.2, 1.5),
+                        stats.norm(), None, stats.logistic(0.1, 1.3)]
+        rng = np.random.default_rng(7)
+        x = 2.0 * rng.normal(size=(200, len(coords)))
+        x[:, 4] = rng.uniform(knots[0], knots[-1], size=200)
+        seg = np.searchsorted(knots, x[:, 4]) - 1
+        want = np.log(np.diff(levels)[seg] / np.diff(knots)[seg])
+        for j, ref in enumerate(scipy_coords):
+            if ref is not None:
+                want = want + ref.logpdf(x[:, j])
+        gen = Generator(coords)
+        got = gen.log_density(x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert gen.log_density(x[3]) == pytest.approx([want[3]], rel=1e-12)
 
     @given(n=st.integers(1, 300), order=st.permutations(range(13)), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)

@@ -146,9 +146,8 @@ class TestStackedMatchesPerModel:
         b_ref, a_ref = _ref_step(mu, models, weights, gamma)
         assert _rel(stepped.scatter, a_ref) <= 1e-12
         assert _rel(stepped.location, b_ref) <= 1e-12
-        assert risk(mu, models, weights) == pytest.approx(_ref_risk(mu, models, weights),
-                                                          rel=1e-12)
-        assert _grad_norm_sq(mu, models, weights) == pytest.approx(
+        assert risk(mu, dist) == pytest.approx(_ref_risk(mu, models, weights), rel=1e-12)
+        assert _grad_norm_sq(mu, dist) == pytest.approx(
             _ref_grad_norm_sq(mu, models, weights), rel=1e-12, abs=1e-12)
         assert fixed_point_residual(mu, dist) == pytest.approx(
             _ref_residual(mu, models, weights), rel=1e-12, abs=1e-12)
@@ -164,27 +163,17 @@ class TestStackedMatchesPerModel:
         assert _rel(out.scatter, a_ref) <= 1e-12
         assert _rel(out.location, b_ref) <= 1e-12
 
-    def test_shared_cross_terms_equal_fresh_ones(self):
+    def test_a_kept_row_equals_a_fresh_one(self):
         rng = np.random.default_rng(5)
         gen = Generator.standard_normal(3)
         dist = ModelDistribution(support=_cloud(rng, gen, 20))
         mu = make_ls_model(gen, np.zeros(3), np.eye(3))
-        cross = LsCrossTerms(mu, dist.support, dist.weights)
-        assert risk(mu, dist.support, dist.weights, cross=cross) == risk(
-            mu, dist.support, dist.weights)
-        assert _grad_norm_sq(mu, dist.support, dist.weights, cross=cross) == _grad_norm_sq(
-            mu, dist.support, dist.weights)
-        shared, fresh = cross.step(1.0), gk_step(mu, dist, 1.0)
-        assert np.array_equal(shared.scatter, fresh.scatter)
-
-    def test_cross_terms_of_another_iterate_rejected(self):
-        rng = np.random.default_rng(6)
-        gen = Generator.standard_normal(2)
-        dist = ModelDistribution(support=_cloud(rng, gen, 5))
-        mu, other = _cloud(rng, gen, 2)
-        with pytest.raises(ValueError):
-            risk(mu, dist.support, dist.weights, cross=LsCrossTerms(other, dist.support,
-                                                                   dist.weights))
+        kept = (risk(mu, dist), _grad_norm_sq(mu, dist), gk_step(mu, dist, 1.0))
+        assert dist.row(mu) is dist.row(mu)
+        fresh = LsCrossTerms(mu, dist.support, dist.weights)
+        assert kept[0] == 0.5 * math.fsum(fresh.weights * fresh.w2_sq())
+        assert kept[1] == fresh.grad_norm_sq()
+        assert np.array_equal(kept[2].scatter, fresh.step(1.0).scatter)
 
 
 def _ref_variance_of_gradient_estimator(mu, dist, batch_size, reps, rng, n_points):
@@ -350,6 +339,7 @@ class TestOneCheckPerCall:
     @pytest.mark.parametrize("case", range(4), ids=["ls", "univariate", "copula", "spherical"])
     def test_each_entry_point_calls_family_once(self, monkeypatch, case):
         mu, models, _ = _row_clouds()[case]
+        dist = ModelDistribution(support=models)
         real, calls = otbayes.transport.family, []
 
         def counted(*checked):
@@ -361,7 +351,7 @@ class TestOneCheckPerCall:
             "w2": lambda: w2(mu, models[0]),
             "ot_map": lambda: ot_map(mu, models[0]),
             "averaged_map": lambda: averaged_map(mu, models),
-            "risk": lambda: risk(mu, models),
+            "risk": lambda: risk(mu, dist),
         }
         counts = {}
         for name, call in entry_points.items():
@@ -369,6 +359,33 @@ class TestOneCheckPerCall:
             call()
             counts[name] = len(calls)
         assert counts == dict.fromkeys(entry_points, 1)
+
+
+class TestOneEvaluationPerIterate:
+    """Outside the scatter-location family a row takes the distances to its
+    models and to the iterate's image in one evaluation, which serves the
+    risk, the gradient norm, the residual and the unit step."""
+
+    @pytest.mark.parametrize("case", range(1, 4), ids=["univariate", "copula", "spherical"])
+    def test_risk_gradient_residual_and_step_share_one_evaluation(self, monkeypatch, case):
+        mu, models, _ = _row_clouds()[case]
+        dist = ModelDistribution(support=models)
+        row_type = family(mu, *models)
+        real, calls = row_type.w2_sq_to, []
+
+        def counted(row, targets):
+            calls.append(len(targets))
+            return real(row, targets)
+
+        monkeypatch.setattr(row_type, "w2_sq_to", counted)
+        value = risk(mu, dist)
+        grad = _grad_norm_sq(mu, dist)
+        assert fixed_point_residual(mu, dist) == math.sqrt(grad)
+        assert gk_step(mu, dist, 1.0) is dist.row(mu).image
+        assert calls == [len(models) + 1]
+        fresh = row_type(mu, models)
+        assert value == 0.5 * math.fsum(fresh.weights * real(fresh, models))
+        assert grad == real(fresh, [fresh.step(1.0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +400,7 @@ class TestBarycenterInvariance:
     @staticmethod
     def _check_same_problem(d1, d2, mu):
         assert _rel(gk_step(mu, d2, 1.0).scatter, gk_step(mu, d1, 1.0).scatter) <= 1e-12
-        assert risk(mu, d2.support, d2.weights) == pytest.approx(
-            risk(mu, d1.support, d1.weights), rel=1e-12)
+        assert risk(mu, d2) == pytest.approx(risk(mu, d1), rel=1e-12)
         assert fixed_point_residual(mu, d2) == pytest.approx(fixed_point_residual(mu, d1),
                                                              rel=1e-10, abs=1e-12)
         a, _ = empirical_barycenter(d1, stop=TIGHT)
@@ -566,5 +582,5 @@ class TestStackChecks:
         vals[0] = 1e-8
         models.insert(200, LocationScatterModel(gen, np.zeros(self.q), (vecs * vals) @ vecs.T))
         with pytest.warns(RuntimeWarning, match="cross term"):
-            value = risk(models[0], models)
+            value = risk(models[0], ModelDistribution(support=models))
         assert math.isfinite(value) and value > 0.0

@@ -425,12 +425,31 @@ class TestLsMaps:
         assert closed == pytest.approx(math.sqrt(5.0), abs=1e-12)
         assert closed == pytest.approx(quantile_route, abs=1e-7)
 
+    def test_w2_ls_refuses_other_families(self):
+        with pytest.raises(CompatibilityError, match="scatter-location"):
+            w2_ls(Normal(0, 1), Normal(1, 1))
+
     def test_public_map_constructor_checks_its_matrix(self):
         b = np.zeros(2)
         with pytest.raises(ValueError, match="not symmetric"):
             AffinePSDMap([[1.0, 0.1], [0.0, 1.0]], b, b)
         with pytest.raises(ValueError, match="must be PSD"):
             AffinePSDMap([[1.0, 0.0], [0.0, -1.0]], b, b)
+
+    def test_map_constructor_takes_rounding_at_the_matrix_scale(self):
+        # rank-deficient PSD at scale 1e6: rounding leaves eigenvalues near
+        # -1e-10, which is noise at that scale, not a negative direction
+        rng = np.random.default_rng(0)
+        b = np.zeros(5)
+        lowest = []
+        for _ in range(50):
+            f = rng.normal(size=(5, 3))
+            mat = 1e6 * (f @ f.T)
+            lowest.append(np.linalg.eigvalsh(mat)[0])
+            AffinePSDMap(mat, b, b)
+        assert min(lowest) < -1e-10
+        with pytest.raises(ValueError, match="must be PSD"):
+            AffinePSDMap(np.diag([1e6, 1.0, 1.0, 1.0, -1e-3]), b, b)
 
     def test_descent_maps_are_built_unchecked(self, monkeypatch):
         # ls_map_matrix output is exactly symmetric and PSD by congruence;
