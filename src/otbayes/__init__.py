@@ -40,7 +40,6 @@ from .measures import (
 )
 from .transport import (
     AffinePSDMap,
-    ConvexCombinationMap,
     CoordinatewiseMap,
     CouplingPlan,
     MonotoneRearrangementMap,

@@ -27,8 +27,7 @@ from .barycenter import (
     fixed_point_residual,
     population_barycenter,
 )
-from .errors import MatrixNotPDError
-from .linalg import sqrtm_psd
+from .linalg import check_pd, sqrtm_psd
 from .measures import (
     Generator,
     LocationScatterModel,
@@ -57,7 +56,9 @@ class ParamPrior:
     coordinate. theta indexes the model with location b and covariance
     ``experiment_covariance(q, eps, sigma, omega)``. With
     ``fixed_covariance`` set, the scatter is frozen and theta = b (the
-    conjugate-checkable case).
+    conjugate-checkable case); a matrix that is not symmetric positive
+    definite raises :class:`MatrixNotPDError`, and one that is not finite
+    or not symmetric ``ValueError`` (:func:`linalg.check_pd`).
     """
 
     dimension: int
@@ -76,6 +77,10 @@ class ParamPrior:
             cov = np.asarray(self.fixed_covariance, dtype=float)
             if cov.shape != (self.dimension, self.dimension):
                 raise ValueError("fixed_covariance shape must match dimension")
+            if not np.all(np.isfinite(cov)):
+                raise ValueError("fixed_covariance must be finite")
+            # checked, not replaced: the symmetrised copy could move its bits
+            check_pd(cov, name="fixed_covariance")
             object.__setattr__(self, "fixed_covariance", cov)
 
     @property
@@ -170,19 +175,13 @@ _BLOCK_DOUBLES = 1 << 16
 
 
 def _whitening(covs: np.ndarray):
-    """``(pd, whiten, log_det_a)`` for an (m, q, q) stack of covariances.
-
-    ``whiten = V diag(1/sqrt(lam)) V^T`` is A^{-1} for A the principal
-    root. Rows that are not finite or not positive definite get
-    ``pd = False`` and an identity stand-in, so one bad row neither makes
-    the stacked ``eigh`` raise nor touches the others.
-    """
-    pd = np.all(np.isfinite(covs), axis=(1, 2))
-    vals, vecs = np.linalg.eigh(np.where(pd[:, None, None], covs, np.eye(covs.shape[-1])))
-    pd &= vals[:, 0] > 0.0
-    root = np.sqrt(np.where(pd[:, None], vals, 1.0))
+    """``(whiten, log_det_a)`` for an (m, q, q) stack of positive definite
+    covariances: ``whiten = V diag(1/sqrt(lam)) V^T`` is A^{-1} for A the
+    principal root."""
+    vals, vecs = np.linalg.eigh(covs)
+    root = np.sqrt(vals)
     whiten = (vecs / root[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    return pd, whiten, np.sum(np.log(root), axis=1)
+    return whiten, np.sum(np.log(root), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,8 @@ class McmcConfig:
     on the transformed target (positivity coordinates proposed in log
     space with the Jacobian folded in), which traverses the soft scale
     ridges of the cosine-kernel posterior without tuning.
-    ``burn_sweeps`` and ``thin_sweeps`` count whole-ensemble updates.
+    ``burn_sweeps`` (at least 0) and ``thin_sweeps`` (at least 1) count
+    whole-ensemble updates.
     After 100 sweeps, every third sweep is an independence move against
     a Gaussian fitted to the other half of the ensemble. Each
     half-sweep's proposals are scored as one batch, whose whitened-data
@@ -232,6 +232,12 @@ class McmcConfig:
     init_rank: int = 0  # rotates the walkers' starts among the eligible candidates
     burn_sweeps: int = 200
     thin_sweeps: int = 3
+
+    def __post_init__(self):
+        if self.burn_sweeps < 0:
+            raise ValueError(f"burn_sweeps must be >= 0, got {self.burn_sweeps}")
+        if self.thin_sweeps < 1:
+            raise ValueError(f"thin_sweeps must be >= 1, got {self.thin_sweeps}")
 
 
 class _TransformedTarget:
@@ -304,9 +310,9 @@ class _TransformedTarget:
         step = max(1, _BLOCK_DOUBLES // max(1, data.n * self._rest.size))
         self._work = np.empty((step, self._rest.size, data.n))
         if not self.has_cov_params:
-            pd, whiten, log_det_a = _whitening(prior.fixed_covariance[None])
+            whiten, log_det_a = _whitening(prior.fixed_covariance[None])
             # z = (x - b) @ whiten: coordinate j is whitened by row j of whiten^T
-            self._fixed = (pd[0], whiten[0].T, log_det_a[0])
+            self._fixed = (whiten[0].T, log_det_a[0])
 
     def to_theta(self, phi: np.ndarray) -> np.ndarray:
         if not self.has_cov_params:
@@ -334,8 +340,8 @@ class _TransformedTarget:
             w = (u * h[ok, None, :]) @ np.swapaxes(u, 1, 2)
             w.reshape(-1, q * q)[:, ::q + 1] += scale[:, None]  # the diagonals
         else:
-            pd, w, log_det_a = self._fixed
-            live = np.arange(thetas.shape[0] if pd else 0)
+            w, log_det_a = self._fixed
+            live = np.arange(thetas.shape[0])
         # row j of w whitens coordinate j: z = w Xc + shift
         shift = (w @ (self._mean - thetas[live, :q])[..., None])[..., 0]
         w_g = w[..., self._gauss, :]
@@ -454,9 +460,8 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
         lps[bad] = target.log_densities(walkers[bad])
 
     halves = (np.arange(n_walk) < n_walk // 2, np.arange(n_walk) >= n_walk // 2)
-    keep_every = max(mcmc.thin_sweeps, 1)
     n_snapshots = -(-k // n_walk)  # ceil
-    total_sweeps = mcmc.burn_sweeps + n_snapshots * keep_every
+    total_sweeps = mcmc.burn_sweeps + n_snapshots * mcmc.thin_sweeps
     draws = np.empty((n_snapshots * n_walk, dim))
     logps = np.empty(n_snapshots * n_walk)
     accepted = 0
@@ -503,7 +508,7 @@ def _ensemble_sample(target: _TransformedTarget, k: int, mcmc: McmcConfig,
             walkers[idx[take]] = proposals[take]
             lps[idx[take]] = lp_new[take]
             accepted += int(np.count_nonzero(take))
-        if sweep > mcmc.burn_sweeps and (sweep - mcmc.burn_sweeps) % keep_every == 0:
+        if sweep > mcmc.burn_sweeps and (sweep - mcmc.burn_sweeps) % mcmc.thin_sweeps == 0:
             draws[filled:filled + n_walk] = walkers
             logps[filled:filled + n_walk] = lps
             filled += n_walk
@@ -571,10 +576,7 @@ def posterior_models(chain: PosteriorChain, gen: Generator,
         live &= (eps > 0.0) & (sigma > 0.0)
         roots[live] = cosine_kernel_roots(q, eps[live], sigma[live], omega[live])
     else:
-        try:
-            roots[:] = sqrtm_psd(prior.fixed_covariance)
-        except (MatrixNotPDError, ValueError):
-            pass
+        roots[:] = sqrtm_psd(prior.fixed_covariance)
     models = LocationScatterModel._from_stack(gen, draws[:, :q], roots)
     rejected = len(draws) - len(models)
     if rejected:
@@ -696,6 +698,8 @@ def bwb_estimator(
     stream. Returns ``(model, BwbDiagnostics)``.
     """
     cfg = cfg or BwbConfig()
+    if cfg.mode not in ("empirical", "sgd"):
+        raise ValueError(f"unknown mode {cfg.mode!r}")
     rng = rng if rng is not None else np.random.default_rng()
     gen = gen or Generator.standard_normal(prior.dimension)
 
@@ -706,7 +710,7 @@ def bwb_estimator(
     gap = None
     if cfg.mode == "empirical":
         model, trace = empirical_barycenter(dist)
-    elif cfg.mode == "sgd":
+    else:
         models = dist.support
         cursor = {"i": 0}
 
@@ -728,8 +732,6 @@ def bwb_estimator(
                 warnings.warn(
                     f"two descent starts disagree by W2 = {gap:.3f}; "
                     "the fixed point may not be unique", RuntimeWarning, stacklevel=2)
-    else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
 
     residual = fixed_point_residual(model, dist)
     diag = BwbDiagnostics(

@@ -78,7 +78,9 @@ _REPLACED_FIELDS = {"burn_in": "burn_sweeps", "thin": "thin_sweeps", "ot_cap": "
 
 @dataclass
 class ExperimentConfig:
-    """Harness settings; ``desk`` defaults keep a full run in minutes."""
+    """Harness settings; ``desk`` defaults keep a full run in minutes.
+    A ``var_grad_reps`` below 2, or sweeps :class:`McmcConfig` refuses,
+    raise ``ValueError`` when the config is built."""
 
     dimension: int = 15
     true_eps: float = 0.01
@@ -109,6 +111,9 @@ class ExperimentConfig:
         # seed would draw another seed's data under its own label
         if not 0 <= self.seed < 2**32:
             raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
+        if self.var_grad_reps < 2:
+            raise ValueError(f"var_grad_reps must be >= 2, got {self.var_grad_reps}")
+        self.mcmc()  # bad sampler settings fail here, not in every cell
 
     def true_location(self) -> np.ndarray:
         return np.arange(self.dimension, dtype=float)
@@ -537,7 +542,7 @@ def _sgd_cell(args):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     vg = variance_of_gradient_estimator(
-                        mu, pool_dist, s, max(cfg.var_grad_reps, 2), rng, n_points=256)
+                        mu, pool_dist, s, cfg.var_grad_reps, rng, n_points=256)
                 records.append(ExperimentRecord(
                     "sgd", n, None, s, rep, "var_grad", vg,
                     1e3 * (time.perf_counter() - t0), seed))

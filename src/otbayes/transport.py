@@ -14,7 +14,9 @@ one stacked root for scatter-location models; for the other families
 one tanh-sinh call over the tails of every univariate pair (every
 marginal's, for copulas) or the radial nodes once for spherical models,
 which also covers the iterate's image under the averaged map, whose
-distance is the norm of the averaged displacement.
+distance is the norm of the averaged displacement. Outside the
+scatter-location family the averaged map is the row's ``pair_map`` onto
+that image.
 
 Model distances are W2 only. The public entry points are :func:`w2`,
 :func:`ot_map` and :func:`averaged_map`, which check their models once
@@ -132,27 +134,6 @@ class AffinePSDMap(TransportMap):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return (x - self.b1) @ self.matrix + self.b2
-
-
-class ConvexCombinationMap(TransportMap):
-    """Pointwise convex combination of child maps (closure of each family)."""
-
-    __slots__ = ("weights", "children")
-
-    def __init__(self, weights, children: Sequence[TransportMap]):
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("combination weights must be nonnegative and sum to 1")
-        if weights.size != len(children):
-            raise ValueError("one weight per child map is required")
-        self.weights = weights
-        self.children = tuple(children)
-
-    def __call__(self, x):
-        out = self.weights[0] * np.asarray(self.children[0](x), dtype=float)
-        for w, child in zip(self.weights[1:], self.children[1:]):
-            out = out + w * child(x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -466,11 +447,13 @@ class FamilyRow:
     uniform average map of any batch of the models.
 
     The averaged map is a convex combination of optimal maps out of
-    ``mu``, hence itself optimal from ``mu`` to the image, so the L2(mu)
-    norm of the averaged displacement is ``W2(mu, image)``. A row other
-    than :class:`LsCrossTerms` therefore reads every distance from one
-    call of its ``w2_sq_to(targets)``, the squared W2 from ``mu`` to each
-    target, over its models and the image. Neither the row nor
+    ``mu``, hence itself optimal from ``mu`` to the image (Zemel and
+    Panaretos 2019). So outside :class:`LsCrossTerms`, whose averaged map
+    is one affine map from its stacked cross terms, the averaged map is
+    ``pair_map(mu, image)``, and the L2(mu) norm of the averaged
+    displacement is ``W2(mu, image)``: such a row reads every distance
+    from one call of its ``w2_sq_to(targets)``, the squared W2 from ``mu``
+    to each target, over its models and the image. Neither the row nor
     ``pair_map`` checks its models: :func:`family` does that, in the
     entry points :func:`w2`, :func:`ot_map` and :func:`averaged_map` and
     in the barycenter drivers."""
@@ -508,21 +491,15 @@ class FamilyRow:
         """L2(mu) norm of the averaged displacement."""
         return math.sqrt(self.grad_norm_sq())
 
-    @cached_property
-    def maps(self) -> list:
-        """Per-model optimal maps out of ``mu``."""
-        return [self.pair_map(self.mu, m) for m in self.models]
-
     def averaged_map(self) -> TransportMap:
-        """``x -> sum_m w_m T_m(x)``, pointwise."""
-        return ConvexCombinationMap(self.weights, self.maps)
+        """``x -> sum_m w_m T_m(x)``, which is the optimal map from ``mu``
+        onto the image: ``pair_map(mu, image)``."""
+        return self.pair_map(self.mu, self.image)
 
     def batch_map(self, index) -> TransportMap:
-        """The averaged map of the batch ``[models[i] for i in index]``
-        with uniform weights, repeats counted, as a row over that batch
-        would give it."""
-        return ConvexCombinationMap(np.full(len(index), 1.0 / len(index)),
-                                    [self.maps[i] for i in index])
+        """The averaged map of a row over the batch ``[models[i] for i in
+        index]``, uniform weights, repeats counted."""
+        return type(self)(self.mu, [self.models[i] for i in index]).averaged_map()
 
 
 class UnivariateRow(FamilyRow):
@@ -662,8 +639,12 @@ class SphericalRow(FamilyRow):
         return np.array([max(float(np.dot(weights, gap * gap)), 0.0) for gap in gaps])
 
     def step(self, gamma):
+        # one knot past every model's last radius, where all profiles are
+        # linear: the end slope is not read off a segment that may be
+        # almost zero wide. It comes from the models, so it stays put
+        # from one iterate to the next.
         mu = self.mu
-        radii = mu.alpha.radii
+        radii = np.union1d(mu.alpha.radii, 2.0 * max(m.alpha.radii[-1] for m in self.models))
         for m in self.models:
             radii = np.union1d(radii, m.alpha.radii)
         vals = (1.0 - gamma) * mu.alpha(radii)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _levels import chebyshev_levels
@@ -623,6 +623,9 @@ class TestFamilyBarycenterInvariance:
                                            weights=weights[perm]))
 
     @given(kind=kinds, k=st.integers(2, 5), seed=st.integers(0, 2**16))
+    # two models' last radii 1.7e-4 apart: the image's end slope must not
+    # be read off that segment
+    @example(kind="spherical", k=3, seed=1284)
     @settings(max_examples=15, deadline=None)
     def test_duplicated_model_equals_doubled_weight(self, kind, k, seed):
         rng = np.random.default_rng(seed)

@@ -95,6 +95,25 @@ class TestParamPrior:
         assert ParamPrior(3).sample(rng).shape == (6,)
         assert ParamPrior(3, fixed_covariance=np.eye(3)).sample(rng).shape == (3,)
 
+    def test_fixed_covariance_not_pd_is_refused(self):
+        # accepted before, then every chain draw had likelihood -inf
+        with pytest.raises(MatrixNotPDError):
+            ParamPrior(2, fixed_covariance=[[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(MatrixNotPDError):
+            ParamPrior(2, fixed_covariance=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]],
+                                     [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["asymmetric", "nan", "inf"])
+    def test_fixed_covariance_not_finite_or_asymmetric_is_refused(self, cov):
+        with pytest.raises(ValueError, match="finite|symmetric") as err:
+            ParamPrior(2, fixed_covariance=cov)
+        assert not isinstance(err.value, MatrixNotPDError)
+
+    def test_fixed_covariance_is_kept_as_given(self):
+        cov = np.array([[1.0, 0.3], [0.3 + 1e-13, 2.0]])  # symmetric within tolerance
+        assert np.array_equal(ParamPrior(2, fixed_covariance=cov).fixed_covariance, cov)
+
 
 class TestLogLikelihood:
     def test_empty_dataset_is_zero(self):
@@ -144,6 +163,18 @@ class TestLogLikelihood:
         rhs_lik = log_likelihood(t1, data, gen, prior) - log_likelihood(t2, data, gen, prior)
         rhs_pri = prior.log_density(t1) - prior.log_density(t2)
         assert lhs == pytest.approx(rhs_lik + rhs_pri, abs=1e-9)
+
+
+class TestMcmcConfig:
+    @pytest.mark.parametrize("field, value", [("thin_sweeps", 0), ("thin_sweeps", -2),
+                                              ("burn_sweeps", -1)])
+    def test_out_of_range_sweeps_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            McmcConfig(**{field: value})
+
+    def test_range_ends_are_accepted(self):
+        cfg = McmcConfig(burn_sweeps=0, thin_sweeps=1)
+        assert (cfg.burn_sweeps, cfg.thin_sweeps) == (0, 1)
 
 
 class TestMetropolis:
@@ -366,6 +397,21 @@ class TestConvexOrderAgainstModelAverage:
 
 
 class TestBwbEstimator:
+    def test_unknown_mode_is_refused_before_sampling(self, monkeypatch):
+        calls = []
+        real = otbayes.bayes.metropolis_sample
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(otbayes.bayes, "metropolis_sample", counted)
+        data = Dataset(np.random.default_rng(0).normal(size=(20, 2)))
+        with pytest.raises(ValueError, match="unknown mode 'sgdd'"):
+            bwb_estimator(ParamPrior(2), data, BwbConfig(k=50, mode="sgdd"),
+                          np.random.default_rng(1))
+        assert calls == []
+
     def test_point_prior_returns_that_model(self):
         # one fixed scale: the models differ only in location, and the
         # barycenter of such a cloud is exact, so its residual vanishes

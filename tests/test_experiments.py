@@ -75,6 +75,15 @@ class TestConfig:
     def test_seed_range_ends_accepted(self, seed):
         assert replace(TINY, seed=seed).seed == seed
 
+    @pytest.mark.parametrize("field, value", [("var_grad_reps", 1), ("var_grad_reps", 0),
+                                              ("thin_sweeps", 0), ("burn_sweeps", -1)])
+    def test_out_of_range_values_are_refused_on_load(self, field, value):
+        # read as given, not clamped: each fails when the config is built
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            replace(TINY, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentConfig.from_json(json.dumps({field: value}))
+
     @pytest.mark.parametrize("old, new", [("burn_in", "burn_sweeps"), ("thin", "thin_sweeps"),
                                           ("ot_cap", "ot_samples")])
     def test_random_walk_fields_name_their_replacement(self, old, new):

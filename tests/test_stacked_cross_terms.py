@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 
 from otbayes import (
     CopulaModel,
+    GaussianCopula,
     Generator,
+    GridQuantile,
+    GridUnivariate,
+    Gumbel,
     IndependenceCopula,
     Laplace,
+    Logistic,
     LocationScatterModel,
     MatrixNotPDError,
     ModelDistribution,
@@ -27,9 +32,12 @@ from otbayes import (
     gk_step,
     Normal,
     make_ls_model,
+    mix_quantiles,
     ot_map,
+    QuantileMixModel,
     RadialProfile,
     SphericalModel,
+    StudentT,
     variance_of_gradient_estimator,
     w2,
     w2_ls,
@@ -229,6 +237,51 @@ class TestAveragedMap:
         want = sum(w * ot_map(mu, m)(x) for w, m in zip(weights, models))
         assert _rel(averaged_map(mu, models, weights)(x), want) <= 1e-12
 
+    @staticmethod
+    def _check_against_the_sum_of_pair_maps(mu, models, x, rng):
+        weights = rng.dirichlet(np.ones(len(models)))
+        want = sum(w * np.asarray(ot_map(mu, m)(x), dtype=float) for w, m in zip(weights, models))
+        assert _rel(averaged_map(mu, models, weights)(x), want) <= 1e-12
+
+    @pytest.mark.parametrize("start", ["plain", "mixture"])
+    def test_univariate_map_is_the_sum_of_pair_maps(self, start):
+        rng = np.random.default_rng(11)
+        models = _mixed_univariate(rng, 7)
+        mu = Normal(0.3, 1.4) if start == "plain" else \
+            mix_quantiles([0.5, 0.3, 0.2], [Normal(0.1, 1.2), Laplace(-0.2, 0.8), Gumbel(0.4, 1.1)])
+        assert start == "plain" or isinstance(mu, QuantileMixModel)
+        self._check_against_the_sum_of_pair_maps(mu, models, rng.normal(scale=2.0, size=60), rng)
+
+    def test_copula_map_is_the_sum_of_pair_maps(self):
+        rng = np.random.default_rng(12)
+        copula = GaussianCopula([[1.0, 0.4], [0.4, 1.0]])
+        models = [CopulaModel(copula, _mixed_univariate(rng, 2)) for _ in range(6)]
+        self._check_against_the_sum_of_pair_maps(models[0], models[1:],
+                                                  rng.normal(scale=2.0, size=(60, 2)), rng)
+
+    def test_spherical_map_is_the_sum_of_pair_maps(self):
+        rng = np.random.default_rng(13)
+        models = _spherical_cloud(rng, 7)
+        self._check_against_the_sum_of_pair_maps(models[0], models[1:],
+                                                  rng.normal(scale=3.0, size=(60, 2)), rng)
+
+    def test_map_out_of_a_mixture_takes_its_cdf_once(self, monkeypatch):
+        # the averaged map is one rearrangement onto the image, not one
+        # rearrangement, each with its own cdf solve, per model
+        rng = np.random.default_rng(14)
+        models = _mixed_univariate(rng, 8)
+        bary, _ = empirical_barycenter(ModelDistribution(support=models))
+        assert isinstance(bary, QuantileMixModel)
+        real, calls = QuantileMixModel.cdf, []
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return real(self, x)
+
+        monkeypatch.setattr(QuantileMixModel, "cdf", counted)
+        averaged_map(bary, models)(rng.normal(size=33))
+        assert calls == [33]
+
     def test_distances_from_the_truth_side_equal_per_model_ones(self):
         # the consistency cell reads all W2^2 to the truth from one stack
         rng = np.random.default_rng(10)
@@ -256,6 +309,16 @@ def _loop_variance_of_gradient_estimator(mu, dist, batch_size, reps, rng, n_poin
         disp[r] = tx.reshape(x2d.shape) - x2d
     dev = disp - disp.mean(axis=0)
     return float(np.sum(dev * dev) / (reps - 1) / x2d.shape[0])
+
+
+def _mixed_univariate(rng, k):
+    """k models on the line, of every location-scale shape and a grid."""
+    shapes = [Normal, Laplace, Logistic, Gumbel, lambda loc, scale: StudentT(5.0, loc, scale)]
+    out = [shapes[i % len(shapes)](rng.normal(), math.exp(0.3 * rng.normal()))
+           for i in range(k - 1)]
+    levels = np.linspace(0.02, 0.98, 25)
+    grid = GridQuantile(levels, Normal(rng.normal(), 1.0).quantile(levels))
+    return out + [GridUnivariate(grid)]
 
 
 def _univariate_model(r):

@@ -49,7 +49,6 @@ from otbayes import (
 from otbayes.linalg import check_symmetric
 from otbayes.transport import (
     AffinePSDMap,
-    ConvexCombinationMap,
     CopulaRow,
     LsCrossTerms,
     SphericalRow,
@@ -717,17 +716,3 @@ class TestDiscreteOt:
                               DiscreteMeasure(c2.points[idx2]))[1]
             hits += abs(est - closed) / closed < 0.10
         assert hits >= 9
-
-
-class TestConvexCombinationMap:
-    def test_weights_validated(self):
-        t = ot_map(Normal(0, 1), Normal(2, 1))
-        with pytest.raises(ValueError):
-            ConvexCombinationMap([0.6, 0.6], [t, t])
-
-    def test_combination_applies_pointwise(self):
-        t1 = ot_map(Normal(0, 1), Normal(2, 1))  # x + 2
-        t2 = ot_map(Normal(0, 1), Normal(0, 3))  # 3x
-        comb = ConvexCombinationMap([0.5, 0.5], [t1, t2])
-        x = np.linspace(-2, 2, 21)
-        assert np.allclose(comb(x), 0.5 * (x + 2) + 0.5 * (3 * x), atol=1e-8)
