@@ -372,6 +372,10 @@ def variance_of_gradient_estimator(
     one ``choice`` call, which reads the stream as ``reps * batch_size``
     draws would), and one family row over the distinct drawn models
     gives each rep's averaged map by index.
+
+    Working memory is one (reps, n_points, dim) displacement buffer: it
+    is centred, squared and summed in place, in the order (and so to the
+    bits) of the two-pass ``sum((d - mean(d))**2)``.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -391,6 +395,6 @@ def variance_of_gradient_estimator(
     for r, batch in enumerate(index.reshape(reps, batch_size)):
         tx = np.asarray(row.batch_map(batch)(x), dtype=float)
         disp[r] = tx.reshape(x2d.shape) - x2d
-    dbar = disp.mean(axis=0)
-    dev = disp - dbar
-    return float(np.sum(dev * dev) / (reps - 1) / x2d.shape[0])
+    disp -= disp.mean(axis=0)
+    np.square(disp, out=disp)
+    return float(np.sum(disp) / (reps - 1) / x2d.shape[0])

@@ -77,8 +77,6 @@ class ParamPrior:
             cov = np.asarray(self.fixed_covariance, dtype=float)
             if cov.shape != (self.dimension, self.dimension):
                 raise ValueError("fixed_covariance shape must match dimension")
-            if not np.all(np.isfinite(cov)):
-                raise ValueError("fixed_covariance must be finite")
             # checked, not replaced: the symmetrised copy could move its bits
             check_pd(cov, name="fixed_covariance")
             object.__setattr__(self, "fixed_covariance", cov)

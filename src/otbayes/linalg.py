@@ -49,7 +49,8 @@ def negative_beyond_rounding(low, high) -> np.ndarray:
 
 def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix") -> np.ndarray:
     """``mat`` symmetrised, ``(A + A^T) / 2``, after checking each matrix
-    is symmetric within ``tol`` relative (see :func:`symmetric_within`)."""
+    is finite and symmetric within ``tol`` relative (see
+    :func:`symmetric_within`)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
@@ -57,6 +58,10 @@ def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL, name: str = "matrix")
     # one work array: a stack of k matrices is several MB at k = 500
     work = np.subtract(mat, mat_t)
     if not (np.abs(work, out=work) <= tol).all():
+        # inf - inf and NaN compare false, so every non-finite matrix lands here
+        bad = ~np.isfinite(mat).all(axis=(-1, -2))
+        if bad.any():
+            raise ValueError(f"{name}{_stack_note(bad)} is not finite")
         bad = ~symmetric_within(mat, work, tol)
         if bad.any():
             raise ValueError(f"{name}{_stack_note(bad)} is not symmetric within "

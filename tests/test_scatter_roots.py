@@ -120,6 +120,40 @@ class TestInvPsd:
                 assert np.max(np.abs(g @ mat - np.eye(4))) < 1e-10
 
 
+_NON_FINITE = pytest.mark.parametrize(
+    "mat", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+            [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [0.0, 1.0]]],
+    ids=["inf-diagonal", "inf-symmetric", "nan-diagonal", "nan-off-diagonal"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFiniteInput:
+    """A matrix holding inf or NaN is refused as not finite, not as
+    asymmetric or not PD."""
+
+    @_NON_FINITE
+    def test_location_scatter_model(self, mat):
+        with pytest.raises(ValueError, match="^scatter is not finite$") as err:
+            LocationScatterModel(Generator.standard_normal(2), [0.0, 0.0], mat)
+        assert not isinstance(err.value, MatrixNotPDError)
+
+    @_NON_FINITE
+    def test_sqrtm_psd(self, mat):
+        with pytest.raises(ValueError, match="^root is not finite$"):
+            sqrtm_psd(np.array(mat), name="root")
+
+    @_NON_FINITE
+    def test_check_pd(self, mat):
+        with pytest.raises(ValueError, match="^matrix is not finite$") as err:
+            check_pd(mat)
+        assert not isinstance(err.value, MatrixNotPDError)
+
+    def test_stack_names_the_first_non_finite_matrix(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.diag([1.0, np.inf]), np.diag([np.nan, 1.0])])
+        with pytest.raises(ValueError, match=r"^m \(matrix 2 of 4, 2 flagged\) is not finite$"):
+            sqrtm_psd(stack, name="m")
+
+
 class TestIterates:
     q = 6
 

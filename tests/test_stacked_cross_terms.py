@@ -5,6 +5,7 @@ one family row per gradient-variance estimate, checked against the
 per-repetition loop it replaced; one family check per public call."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -393,6 +394,37 @@ class TestOneRowPerVarianceEstimate:
         for index in ([3], [0, 4], [2, 0, 2, 4, 2]):
             want = averaged_map(mu, [models[i] for i in index])(x)
             assert np.array_equal(row.batch_map(np.array(index))(x), want)
+
+
+class TestVarianceEstimateAtBenchmarkSize:
+    """At the benchmark's size (q = 15, S = 20, 200 reps, 256 points) the
+    estimate holds one displacement buffer and equals the loop."""
+
+    q, batch_size, reps, n_points = 15, 20, 200, 256
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = np.random.default_rng(61)
+        gen = Generator.mixed_experiment(self.q)
+        return _cloud(rng, gen, 501)
+
+    def test_peak_memory_is_one_displacement_buffer(self, pool):
+        mu, dist = pool[0], ModelDistribution(support=pool[1:])
+        rng = np.random.default_rng(62)
+        buffer = self.reps * self.n_points * self.q * 8
+        tracemalloc.start()
+        try:
+            variance_of_gradient_estimator(mu, dist, self.batch_size, self.reps, rng,
+                                           n_points=self.n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer, f"peak {peak / 2**20:.2f} MiB, buffer {buffer / 2**20:.2f} MiB"
+
+    def test_equals_the_loop(self, pool):
+        TestOneRowPerVarianceEstimate._check_equals_loop(
+            pool[0], ModelDistribution(support=pool[1:]), self.batch_size, self.reps, 63,
+            n_points=self.n_points)
 
 
 class TestOneCheckPerCall:
