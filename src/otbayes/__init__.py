@@ -21,7 +21,6 @@ from .measures import (
     GaussianCopula,
     Generator,
     GridQuantile,
-    GridUnivariate,
     Gumbel,
     IndependenceCopula,
     Laplace,
@@ -82,7 +81,6 @@ from .experiments import (
     ExperimentRecord,
     ExperimentReport,
     emit_report,
-    read_records_csv,
     run_all,
     run_bary_vs_bma,
     run_barycenter_vs_truth,

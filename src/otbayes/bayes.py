@@ -85,11 +85,8 @@ class ParamPrior:
     def n_params(self) -> int:
         return self.dimension if self.fixed_covariance is not None else self.dimension + 3
 
-    def log_density(self, theta: np.ndarray) -> float:
-        return float(self.log_densities(np.asarray(theta, dtype=float)[None])[0])
-
     def log_densities(self, thetas: np.ndarray) -> np.ndarray:
-        """``log_density`` of each row of an (m, n_params) stack."""
+        """Log prior density of each row of an (m, n_params) stack."""
         thetas = np.asarray(thetas, dtype=float)
         b = thetas[:, : self.dimension]
         out = -0.5 * np.sum(b * b, axis=1) - 0.5 * self.dimension * _LOG_2PI
@@ -373,9 +370,6 @@ class _TransformedTarget:
         lp[~np.isfinite(lp)] = -math.inf
         return lp
 
-    def log_density(self, phi: np.ndarray) -> float:
-        return float(self.log_densities(np.asarray(phi, dtype=float)[None])[0])
-
 
 def _profile_candidates(prior: ParamPrior, data: Dataset, gen: Generator) -> list:
     """Frequency-scan start candidates for the cosine-kernel posterior.
@@ -607,12 +601,6 @@ class MixtureModel:
     @property
     def dimension(self) -> int:
         return self.components[0].dimension
-
-    def density(self, x) -> np.ndarray:
-        out = self.weights[0] * self.components[0].density(x)
-        for w, comp in zip(self.weights[1:], self.components[1:]):
-            out = out + w * comp.density(x)
-        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.components), size=n, p=self.weights)

@@ -30,7 +30,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
-from typing import Optional, get_args, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -199,18 +199,6 @@ class ExperimentRecord:
 _record_values = attrgetter(*(f.name for f in fields(ExperimentRecord)))
 
 
-def _column_parser(kind):
-    """Text to a value of field type ``kind``; '' reads as None for ``Optional[X]``."""
-    args = get_args(kind)
-    if type(None) not in args:
-        return kind
-    return lambda text: args[0](text) if text else None
-
-
-# one parser per column, in RECORD_COLUMNS order
-_record_parsers = tuple(_column_parser(kind) for kind in get_type_hints(ExperimentRecord).values())
-
-
 class ExperimentReport:
     """Long-format records plus grouped mean/std summaries."""
 
@@ -219,9 +207,6 @@ class ExperimentReport:
         self.records: list[ExperimentRecord] = list(records or [])
         self.nonconverged_cells: list[tuple] = []
         self.failed_cells: list[tuple] = []
-
-    def add(self, record: ExperimentRecord):
-        self.records.append(record)
 
     def extend(self, records):
         self.records.extend(records)
@@ -306,19 +291,6 @@ def emit_report(report: ExperimentReport, out_dir: str = "results"):
     }
     write("report.json", [json.dumps(payload, indent=1, sort_keys=True)])
     return written
-
-
-def read_records_csv(path) -> list[ExperimentRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(RECORD_COLUMNS):
-            raise ValueError(f"unexpected header {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            records.append(ExperimentRecord(
-                *(parse(text) for parse, text in zip(_record_parsers, parts, strict=True))))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Four multivariate constructions are supported, all built from univariate
 blocks: product generators, scatter-location models ``L(A x + b)``,
 spherically reprofiled models ``L(alpha(|x|) x / |x|)`` and models sharing
-a fixed copula. Univariate models come either as parametric families, as
-monotone piecewise-linear quantile grids, or as exact convex combinations
-of quantile functions (the representation produced by barycenter steps on
-mixed supports).
+a fixed copula. Univariate models come either as location-scale members
+of parametric shapes or as exact convex combinations of their quantile
+functions (the representation produced by barycenter steps on mixed
+supports). A generator's coordinates are location-scale members; a
+monotone piecewise-linear quantile grid holds the cached radial law of a
+non-Gaussian generator.
 
 Everything here is immutable after construction; samplers take the
 caller's RNG.
@@ -26,7 +28,6 @@ from .linalg import check_pd, clamp_spectrum, inv_psd, sqrtm_inv_psd, symmetric_
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015329
-_U_HI = float(np.nextafter(1.0, 0.0))
 
 def _check_prob(u, name: str = "u"):
     if isinstance(u, float):
@@ -111,26 +112,6 @@ class GridQuantile:
             out = np.where(hi, v[-1] + slope * (u - k[-1]), out)
         return out
 
-    def inverse(self, x):
-        """Right-continuous CDF-style inverse of the grid.
-
-        Flat stretches of the quantile map to the upper end of their level
-        interval; values outside the range follow the end segments.
-        """
-        x = np.asarray(x, dtype=float)
-        k, v = self.knots, self.values
-        u = np.interp(x, v, k)
-        lo = x < v[0]
-        hi = x > v[-1]
-        if np.any(lo):
-            slope = (v[1] - v[0]) / (k[1] - k[0])
-            if slope > 0:
-                u = np.where(lo, k[0] + (x - v[0]) / slope, u)
-        if np.any(hi):
-            slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
-            if slope > 0:
-                u = np.where(hi, k[-1] + (x - v[-1]) / slope, u)
-        return np.clip(u, 0.0, 1.0)
 
 # ---------------------------------------------------------------------------
 # Univariate models
@@ -140,16 +121,13 @@ class GridQuantile:
 class UnivariateModel:
     """Interface shared by all one-dimensional models.
 
-    Subclasses implement ``quantile``, ``cdf``, ``pdf`` and moments; the
-    rest (sampling, log-density, quantile derivative, upper quantile) has
-    generic fallbacks here.
+    Subclasses implement ``quantile``, ``upper_quantile``, ``cdf``,
+    ``pdf`` and moments; the rest (sampling, log-density, quantile
+    derivative) has generic fallbacks here.
 
     ``upper_quantile(v)`` is ``Q(1 - v)`` for v in (0, 1), evaluated
-    without rounding ``1 - v``: families with a closed form keep full
-    relative precision in v as v -> 0, so the upper tail resolves as
-    finely as the lower one. The fallback rounds ``1 - v``, clamped below
-    1, which suffices only where Q stays smooth and bounded up to u = 1
-    (a grid's linear extrapolation).
+    without rounding ``1 - v``: it keeps full relative precision in v as
+    v -> 0, so the upper tail resolves as finely as the lower one.
     """
 
     family = "univariate"
@@ -158,8 +136,7 @@ class UnivariateModel:
         raise NotImplementedError
 
     def upper_quantile(self, v):
-        v = _check_prob(v, "v")
-        return self.quantile(np.minimum(1.0 - v, _U_HI))
+        raise NotImplementedError
 
     def cdf(self, x):
         raise NotImplementedError
@@ -184,10 +161,6 @@ class UnivariateModel:
 
     def variance(self) -> float:
         raise NotImplementedError
-
-    def breakpoints(self) -> np.ndarray:
-        """Levels in (0,1) where the quantile is non-smooth (kinks)."""
-        return np.empty(0)
 
 
 class LocationScaleUnivariate(UnivariateModel):
@@ -449,52 +422,6 @@ class Gumbel(LocationScaleUnivariate):
         return math.pi**2 / 6.0
 
 
-class GridUnivariate(UnivariateModel):
-    """Univariate model backed by a :class:`GridQuantile`."""
-
-    family = "grid_quantile"
-    __slots__ = ("grid",)
-
-    def __init__(self, grid: GridQuantile):
-        self.grid = grid
-
-    def quantile(self, u):
-        return self.grid(_check_prob(u))
-
-    def cdf(self, x):
-        return self.grid.inverse(x)
-
-    def pdf(self, x):
-        # reciprocal local slope of the quantile at F(x)
-        u = np.clip(self.grid.inverse(x), self.grid.knots[0], self.grid.knots[-1])
-        return 1.0 / self.quantile_derivative(np.clip(u, 1e-12, 1 - 1e-12))
-
-    def quantile_derivative(self, u):
-        u = np.asarray(_check_prob(u), dtype=float)
-        k, v = self.grid.knots, self.grid.values
-        idx = np.clip(np.searchsorted(k, u) - 1, 0, k.size - 2)
-        slope = (v[idx + 1] - v[idx]) / (k[idx + 1] - k[idx])
-        return slope
-
-    def mean(self) -> float:
-        # exact integral of the piecewise-linear quantile, tails included
-        k, v = self.grid.knots, self.grid.values
-        core = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(k))
-        left = v[0] * k[0]
-        right = v[-1] * (1.0 - k[-1])
-        s0 = (v[1] - v[0]) / (k[1] - k[0])
-        s1 = (v[-1] - v[-2]) / (k[-1] - k[-2])
-        left -= 0.5 * s0 * k[0] ** 2
-        right += 0.5 * s1 * (1.0 - k[-1]) ** 2
-        return float(core + left + right)
-
-    def variance(self) -> float:
-        return _quantile_moments(self.quantile)[1]
-
-    def breakpoints(self):
-        return self.grid.knots
-
-
 class QuantileMixModel(UnivariateModel):
     """Exact convex combination of quantile functions.
 
@@ -563,12 +490,6 @@ class QuantileMixModel(UnivariateModel):
     def variance(self) -> float:
         return _quantile_moments(self.quantile)[1]
 
-    def breakpoints(self):
-        pts = [c.breakpoints() for c in self.components]
-        pts = [p for p in pts if p.size]
-        if not pts:
-            return np.empty(0)
-        return np.unique(np.concatenate(pts))
 
 # ---------------------------------------------------------------------------
 # Quantile mixing (the univariate closed-form barycenter/descent update)
@@ -645,31 +566,28 @@ class Generator:
     """Product distribution with independent univariate coordinates.
 
     Serves as the reference measure of scatter-location and spherical
-    families. Coordinates are expected to be the "standard" members of
-    their families (zero mode/mean, unit scale parameter); note that the
-    standard Laplace has variance 2 and the standard t(3) has variance 3,
-    so the generator covariance is diagonal but not the identity unless
-    all coordinates are normal.
+    families. Coordinates must be location-scale members
+    (:class:`LocationScaleUnivariate`), and are expected to be the
+    "standard" members of their families (zero mode/mean, unit scale
+    parameter); note that the standard Laplace has variance 2 and the
+    standard t(3) has variance 3, so the generator covariance is diagonal
+    but not the identity unless all coordinates are normal.
     """
 
-    __slots__ = ("coordinates", "_radial", "_key", "_families", "_others")
+    __slots__ = ("coordinates", "_radial", "_key", "_families")
 
-    def __init__(self, coordinates: Sequence[UnivariateModel]):
+    def __init__(self, coordinates: Sequence[LocationScaleUnivariate]):
         if not coordinates:
             raise ValueError("at least one coordinate is required")
         self.coordinates = tuple(coordinates)
         self._radial: Optional[GridQuantile] = None
-        key = []
         members: dict = {}
-        others = []
         for j, c in enumerate(self.coordinates):
-            if isinstance(c, LocationScaleUnivariate):
-                key.append(c.shape_key() + (c.loc, c.scale))
-                members.setdefault(c.shape_key(), []).append(j)
-            else:
-                key.append((c.family, id(c)))
-                others.append(j)
-        self._key = tuple(key)
+            if not isinstance(c, LocationScaleUnivariate):
+                raise ValueError(f"generator coordinate {j} is a {type(c).__name__}, "
+                                 "not a location-scale member")
+            members.setdefault(c.shape_key(), []).append(j)
+        self._key = tuple(c.shape_key() + (c.loc, c.scale) for c in self.coordinates)
         # each location-scale family is scored by one call on its
         # coordinates, a slice when they are contiguous: (shape member,
         # index, loc, scale, sum of log scales), loc and scale None when
@@ -685,7 +603,6 @@ class Generator:
             families.append((cs[0], index, None if standard else loc,
                              None if standard else scale, float(np.sum(np.log(scale)))))
         self._families = tuple(families)
-        self._others = tuple(others)
 
     @property
     def dimension(self) -> int:
@@ -718,12 +635,7 @@ class Generator:
                 z -= loc[:, None]
                 z /= scale[:, None]
             out += shape._sum_logpdf0(z) - x.shape[2] * log_scale
-        for j in self._others:
-            out += np.sum(self.coordinates[j].log_pdf(x[:, j]), axis=1)
         return out
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cols = [coord.sample(n, rng) for coord in self.coordinates]
@@ -856,9 +768,6 @@ class LocationScatterModel:
         z = (x - self.location) @ self.scatter_inv
         sign, logdet = np.linalg.slogdet(self.scatter)
         return self.generator.log_density(z) - logdet
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         g = self.generator.sample(n, rng)

@@ -173,46 +173,23 @@ class CouplingPlan:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre_segments(f_vec, edges: np.ndarray, order: int = 12) -> float:
-    nodes, weights = gauss_legendre(order)
-    a = edges[:-1]
-    h = np.diff(edges)
-    u = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * weights[None, :]).ravel()
-    return float(np.dot(w, f_vec(u)))
-
-
 def _w2_sq(pairs: Sequence) -> np.ndarray:
     """``W_2^2`` of each univariate pair ``(m1, m2)`` by the quantile formula.
 
     ``W_2^2 = integral_0^1 (Q_1(u) - Q_2(u))^2 du``, smooth where the
-    quantile functions cross. The lower tail is
-    integrated in u over (0, a) and the upper tail in v = 1 - u over
-    (0, b), through ``upper_quantile``, so both endpoint singularities sit
-    at 0 where the levels keep full relative precision. The tails of all
-    pairs go to one vectorized tanh-sinh call (Takahasi & Mori 1974),
-    which evaluates every node of a level at once, each distinct model's
-    quantile in one call. Without breakpoints a = b = 1/2; grids
-    contribute their knot levels as breakpoints, a is a pair's first and
-    b is 1 minus its last, and the gap between them is integrated by
-    12-point Gauss-Legendre per segment. Pair by pair, in order,
-    :class:`QuadratureError` is raised when the value is not finite, when
-    a tail did not converge, or when the summed error estimate exceeds
-    ``max(1e-9, 1e-6 |value|)``.
+    quantile functions cross. The lower tail is integrated in u over
+    (0, 1/2) and the upper tail in v = 1 - u over (0, 1/2), through
+    ``upper_quantile``, so both endpoint singularities sit at 0 where the
+    levels keep full relative precision. The tails of all pairs go to one
+    vectorized tanh-sinh call (Takahasi & Mori 1974), which evaluates
+    every node of a level at once, each distinct model's quantile in one
+    call. Pair by pair, in order, :class:`QuadratureError` is raised when
+    the value is not finite, when a tail did not converge, or when the
+    summed error estimate exceeds ``max(1e-9, 1e-6 |value|)``.
     """
     first: dict = {}
     index = np.array([[first.setdefault(id(m), len(first)) for m in pair] for pair in pairs])
     models = list({id(m): m for pair in pairs for m in pair}.values())
-    ends = np.full((len(pairs), 2), 0.5)
-    core = np.zeros(len(pairs))
-    for i, (m1, m2) in enumerate(pairs):
-        bp = np.unique(np.concatenate([m1.breakpoints(), m2.breakpoints()]))
-        bp = bp[(bp > 0.0) & (bp < 1.0)]
-        if bp.size:
-            ends[i] = bp[0], 1.0 - bp[-1]
-        if bp.size > 1:
-            core[i] = _gauss_legendre_segments(
-                lambda u: (m1.quantile(u) - m2.quantile(u)) ** 2, bp)
 
     def tails(t, a, b, upper):
         # one row of t per tail; tanh-sinh may probe the endpoint 0
@@ -230,11 +207,11 @@ def _w2_sq(pairs: Sequence) -> np.ndarray:
                     qa[on_a], qb[on_b] = q[on_a[rows]], q[on_b[rows]]
         return ((qa - qb) ** 2).reshape(shape)
 
-    res = tanhsinh(tails, 0.0, ends.ravel(),
+    res = tanhsinh(tails, 0.0, np.full(2 * len(pairs), 0.5),
                    args=(index[:, 0].repeat(2), index[:, 1].repeat(2), np.tile([0, 1], len(pairs))),
                    atol=1e-13, rtol=1e-11)
     integral = res.integral.reshape(-1, 2)
-    vals = core + (integral[:, 0] + integral[:, 1])
+    vals = integral[:, 0] + integral[:, 1]
     errs = np.where(res.success, res.error, np.inf).reshape(-1, 2).sum(axis=1)
     for val, err in zip(vals, errs):
         if not np.isfinite(val):
@@ -248,8 +225,9 @@ def _w2_sq(pairs: Sequence) -> np.ndarray:
 
 def wp_univariate(m1: UnivariateModel, m2: UnivariateModel) -> float:
     """2-Wasserstein distance on the line via the quantile formula, without
-    a family check; the one-pair case of :func:`_w2_sq`, which says how it
-    is integrated and when it raises :class:`QuadratureError`."""
+    a family check: the one-pair case of :func:`_w2_sq`, which says how
+    its two tails are integrated and when it raises
+    :class:`QuadratureError`."""
     return math.sqrt(_w2_sq([(m1, m2)])[0])
 
 

@@ -7,14 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _levels import chebyshev_levels
 from otbayes import (
     CompatibilityError,
     CopulaModel,
     GaussianCopula,
     Generator,
-    GridQuantile,
-    GridUnivariate,
     Gumbel,
     IndependenceCopula,
     Laplace,
@@ -519,15 +516,13 @@ class TestTraceExport:
         assert len(trace.risk) == len(trace.grad_norm_sq) == len(trace.wall_ms) == n
 
 
-class TestMixedGridSupport:
-    def test_grid_member_in_support(self):
-        u = chebyshev_levels(256)
-        grid_model = GridUnivariate(GridQuantile(u, Laplace(1.0, 1.0).quantile(u)))
-        dist = ModelDistribution(support=[Normal(0, 1), grid_model])
+class TestMixedShapeSupport:
+    def test_barycenter_is_the_exact_quantile_average(self):
+        dist = ModelDistribution(support=[Normal(0, 1), Laplace(1.0, 1.0)])
         bary, _ = empirical_barycenter(dist, stop=TIGHT)
         # quantiles must be the exact average of the two components
         uu = np.linspace(0.05, 0.95, 9)
-        expected = 0.5 * (Normal(0, 1).quantile(uu) + grid_model.quantile(uu))
+        expected = 0.5 * (Normal(0, 1).quantile(uu) + Laplace(1.0, 1.0).quantile(uu))
         assert np.allclose(bary.quantile(uu), expected, atol=1e-12)
 
 
@@ -541,17 +536,13 @@ _UNIVARIATE = (Normal, Laplace, Logistic, Gumbel, lambda loc, scale: StudentT(5.
 
 
 def _univariate_cloud(rng, k):
-    """k models of mixed families, one of them a quantile grid."""
-    out = [_UNIVARIATE[int(rng.integers(len(_UNIVARIATE)))](rng.normal(), math.exp(0.4 * rng.normal()))
-           for _ in range(k - 1)]
-    values = Normal(rng.normal(), math.exp(0.4 * rng.normal())).quantile(_LEVELS)
-    return out + [GridUnivariate(GridQuantile(_LEVELS, values))]
+    """k models of mixed families."""
+    return [_UNIVARIATE[int(rng.integers(len(_UNIVARIATE)))](rng.normal(), math.exp(0.4 * rng.normal()))
+            for _ in range(k)]
 
 
 def _moved(m, scale, shift):
     """L(scale x + shift) for x ~ m, scale > 0."""
-    if isinstance(m, GridUnivariate):
-        return GridUnivariate(GridQuantile(m.grid.knots, scale * m.grid.values + shift))
     if isinstance(m, StudentT):
         return StudentT(m.df, scale * m.loc + shift, scale * m.scale)
     return type(m)(scale * m.loc + shift, scale * m.scale)

@@ -1,6 +1,7 @@
 """Harness tests: config round trips, report emission, determinism,
 small-scale smoke runs of every runner, CLI surface."""
 
+import csv
 import json
 import warnings
 from collections import Counter
@@ -14,13 +15,13 @@ import otbayes.experiments
 from otbayes.cli import main as cli_main
 from otbayes.experiments import (
     METRICS,
+    RECORD_COLUMNS,
     ExperimentConfig,
     ExperimentRecord,
     ExperimentReport,
     cell_seed,
     derive_rng,
     emit_report,
-    read_records_csv,
     run_all,
     run_bary_vs_bma,
     run_barycenter_vs_truth,
@@ -43,6 +44,21 @@ TINY = ExperimentConfig(
     compare_n=40,
     seed=11,
 )
+
+
+# the type of each records.csv column, in RECORD_COLUMNS order
+_COLUMN_TYPES = (str, int, int, int, int, str, float, float, int)
+
+
+def _read_records(path):
+    """The records of a records.csv, each column read by its type and
+    '' as None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(RECORD_COLUMNS)
+    return [ExperimentRecord(*(kind(text) if text else None
+                               for kind, text in zip(_COLUMN_TYPES, row, strict=True)))
+            for row in rows]
 
 
 def _quiet(fn, *args, **kwargs):
@@ -144,13 +160,12 @@ class TestReportPlumbing:
     def test_roundtrip_exact(self, tmp_path):
         report = ExperimentReport(TINY)
         rng = np.random.default_rng(0)
-        for i in range(20):
-            report.add(ExperimentRecord(
-                "consistency", 10 * (i % 3 + 1), 5, None, i, "W2sq_post_to_truth",
-                float(rng.normal()) * 10.0 ** float(rng.integers(-8, 8)),
-                float(rng.uniform(0, 50)), i))
+        report.extend([ExperimentRecord(
+            "consistency", 10 * (i % 3 + 1), 5, None, i, "W2sq_post_to_truth",
+            float(rng.normal()) * 10.0 ** float(rng.integers(-8, 8)),
+            float(rng.uniform(0, 50)), i) for i in range(20)])
         emit_report(report, str(tmp_path))
-        clone = read_records_csv(tmp_path / "records.csv")
+        clone = _read_records(tmp_path / "records.csv")
         report.sort()
         assert clone == report.records
 
@@ -163,18 +178,17 @@ class TestReportPlumbing:
             ExperimentRecord("sgd", 50, None, None, 2, "residual", -0.0, 9.75, 0),
         ])
         emit_report(report, str(tmp_path))
-        clone = read_records_csv(tmp_path / "records.csv")
+        clone = _read_records(tmp_path / "records.csv")
         assert clone == report.records
         assert [(r.k, r.s) for r in clone] == [(5, None), (7, 4), (None, 4), (None, None)]
         assert all(type(r.k) is int for r in clone if r.k is not None)
 
     def test_summary_row_count(self, tmp_path):
         report = ExperimentReport(TINY)
-        for n in TINY.n_grid:
-            for k in TINY.k_grid:
-                for rep in range(TINY.replications):
-                    report.add(ExperimentRecord("consistency", n, k, None, rep,
-                                                "W2sq_post_to_truth", 1.0, 0.0, rep))
+        report.extend([ExperimentRecord("consistency", n, k, None, rep,
+                                        "W2sq_post_to_truth", 1.0, 0.0, rep)
+                       for n in TINY.n_grid for k in TINY.k_grid
+                       for rep in range(TINY.replications)])
         rows = report.summary_rows()
         assert len(rows) == len(TINY.n_grid) * len(TINY.k_grid)
         assert all(r[-1] == TINY.replications for r in rows)

@@ -12,14 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from _levels import chebyshev_levels
 import otbayes
 from otbayes import (
     DiscreteMeasure,
     Exponential,
     Generator,
     GridQuantile,
-    GridUnivariate,
     Gumbel,
     Laplace,
     Logistic,
@@ -118,24 +116,28 @@ class TestGridQuantile:
         u = np.linspace(0.001, 0.999, 101)
         assert np.all(np.diff(g(u)) >= -1e-12)
 
-    def test_inverse_roundtrip(self):
-        g = GridQuantile([0.1, 0.4, 0.9], [-2.0, 0.5, 3.0])
-        u = np.linspace(0.1, 0.9, 33)
-        assert np.allclose(g.inverse(g(u)), u, atol=1e-12)
-
     def test_ends_extend_linearly(self):
         assert GridQuantile([0.2, 0.8], [0.0, 1.0])(0.9) == pytest.approx(7 / 6)
 
     def test_grid_model_interpolates_between_uneven_knots(self):
-        g = GridUnivariate(GridQuantile([0.2, 0.5, 0.8], [0.0, 1.0, 4.0]))
-        assert np.allclose(g.quantile(np.array([0.35, 0.65])), [0.5, 2.5], atol=1e-15)
+        g = GridQuantile([0.2, 0.5, 0.8], [0.0, 1.0, 4.0])
+        assert np.allclose(g(np.array([0.35, 0.65])), [0.5, 2.5], atol=1e-15)
 
     def test_grid_model_moments(self):
-        # grid built from an exact normal should reproduce its moments
-        u = chebyshev_levels(2048)
-        m = GridUnivariate(GridQuantile(u, Normal(2.0, 3.0).quantile(u)))
-        assert m.mean() == pytest.approx(2.0, abs=1e-3)
-        assert m.variance() == pytest.approx(9.0, rel=1e-2)
+        # a grid built from an exact normal should reproduce its moments
+        n = 2048
+        u = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        g = GridQuantile(u, Normal(2.0, 3.0).quantile(u))
+        edges = np.concatenate(([0.0], u, [1.0]))
+        # g is linear on each segment, so two Gauss-Legendre nodes per
+        # segment integrate g and (g - mean)**2 exactly
+        mid, half = (edges[1:] + edges[:-1]) / 2, np.diff(edges) / 2
+        nodes = np.concatenate([mid - half / math.sqrt(3), mid + half / math.sqrt(3)])
+        w = np.concatenate([half, half])
+        mean = float(np.dot(w, g(nodes)))
+        var = float(np.dot(w, (g(nodes) - mean) ** 2))
+        assert mean == pytest.approx(2.0, abs=1e-3)
+        assert var == pytest.approx(9.0, rel=1e-2)
 
 
 class TestQuantileMix:
@@ -308,40 +310,34 @@ class TestGeneratorStandardization:
         expected = stats.norm.logpdf(0.3) + stats.laplace.logpdf(-0.4)
         assert gen.log_density(x)[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_rejects_a_coordinate_that_is_not_location_scale(self):
+        mix = QuantileMixModel([0.5, 0.5], [Normal(), Laplace()])
+        with pytest.raises(ValueError, match="coordinate 1 is a QuantileMixModel"):
+            Generator([Normal(), mix])
+
     def test_log_density_equals_the_scipy_logpdf_sum(self):
-        # non-standard members, two normal columns apart and a grid column
-        # (scored on its own), whose density is du/dQ on each knot segment
-        levels = np.linspace(0.01, 0.99, 21)
-        knots = stats.norm.ppf(levels)
+        # non-standard members and two normal columns apart
         coords = [Normal(0.3, 2.0), Laplace(-1.0, 0.5), StudentT(3.0, 0.2, 1.5), Normal(),
-                  GridUnivariate(GridQuantile(levels, knots)), Logistic(0.1, 1.3)]
+                  Logistic(0.1, 1.3)]
         scipy_coords = [stats.norm(0.3, 2.0), stats.laplace(-1.0, 0.5), stats.t(3.0, 0.2, 1.5),
-                        stats.norm(), None, stats.logistic(0.1, 1.3)]
+                        stats.norm(), stats.logistic(0.1, 1.3)]
         rng = np.random.default_rng(7)
         x = 2.0 * rng.normal(size=(200, len(coords)))
-        x[:, 4] = rng.uniform(knots[0], knots[-1], size=200)
-        seg = np.searchsorted(knots, x[:, 4]) - 1
-        want = np.log(np.diff(levels)[seg] / np.diff(knots)[seg])
-        for j, ref in enumerate(scipy_coords):
-            if ref is not None:
-                want = want + ref.logpdf(x[:, j])
+        want = sum(ref.logpdf(x[:, j]) for j, ref in enumerate(scipy_coords))
         gen = Generator(coords)
         got = gen.log_density(x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert gen.log_density(x[3]) == pytest.approx([want[3]], rel=1e-12)
 
-    @given(n=st.integers(1, 300), order=st.permutations(range(13)), seed=st.integers(0, 2**16))
+    @given(n=st.integers(1, 300), order=st.permutations(range(12)), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_grouped_density_equals_the_per_coordinate_sum(self, n, order, seed):
         # families are scored one call each; non-standard members, two t
-        # shapes, exponential at negative inputs and a grid coordinate
-        # (scored on its own) in any column order
+        # shapes and exponential at negative inputs, in any column order
         coords = [
             Normal(), Normal(0.3, 2.0), Normal(), Laplace(), Laplace(-1.0, 0.5),
             StudentT(3.0), StudentT(5.0, 0.2, 1.5), StudentT(3.0, -0.4, 0.7),
             Exponential(1.0), Exponential(2.5), Logistic(0.1, 1.3), Gumbel(),
-            GridUnivariate(GridQuantile(np.linspace(0.01, 0.99, 21),
-                                        stats.norm.ppf(np.linspace(0.01, 0.99, 21)))),
         ]
         gen = Generator([coords[i] for i in order])
         x = 2.0 * np.random.default_rng(seed).normal(size=(n, len(coords)))
